@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
+.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,14 @@ race-mq:
 bench-vol:
 	$(GO) test -run TestVolumeWriteQuorumZeroAlloc -bench 'BenchmarkVolumeWriteQuorum' -benchmem ./internal/core/
 
+# §4.4 reassembly: the pooled 64 KiB reassembly zero-allocation guard and
+# benchmark, then FuzzReassemble, which checks the coverage bitmap against
+# the per-byte reference reassembler on shuffled, duplicated, overlapping
+# and hostile fragment streams.
+bench-ethernet:
+	$(GO) test -run TestReassembleZeroAlloc -bench 'BenchmarkReassemble64K' -benchmem ./internal/ethernet/
+	$(GO) test -run xxx -fuzz FuzzReassemble -fuzztime 10s ./internal/ethernet/
+
 # The distributed-volume layer under the race detector: extent maps and
 # versioned replica state, the volume router's quorum/rebuild machinery, the
 # cluster volume wiring, and the volrebuild cells (which run concurrently
@@ -119,4 +127,4 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol doccheck loadgen-smoke
+check: build vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet doccheck loadgen-smoke

@@ -49,7 +49,9 @@ func (s *Store) SectorSize() int { return s.sectorSize }
 // Capacity reports the device size in sectors.
 func (s *Store) Capacity() uint64 { return s.capacity }
 
-// Write stores data (a whole number of sectors) starting at sector.
+// Write stores data (a whole number of sectors) starting at sector. A sector
+// written before is overwritten in place; the store never keeps a reference
+// to data.
 func (s *Store) Write(sector uint64, data []byte) error {
 	if len(data) == 0 {
 		return ErrZeroSectors
@@ -62,14 +64,18 @@ func (s *Store) Write(sector uint64, data []byte) error {
 		return fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
 	}
 	for i := uint64(0); i < n; i++ {
-		sec := make([]byte, s.sectorSize)
-		copy(sec, data[int(i)*s.sectorSize:])
-		s.data[sector+i] = sec
+		src := data[int(i)*s.sectorSize : int(i+1)*s.sectorSize]
+		if sec, ok := s.data[sector+i]; ok {
+			copy(sec, src)
+		} else {
+			s.data[sector+i] = append([]byte(nil), src...)
+		}
 	}
 	return nil
 }
 
-// Read returns n sectors starting at sector.
+// Read returns n sectors starting at sector, in a fresh buffer the caller
+// owns.
 func (s *Store) Read(sector uint64, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, ErrZeroSectors

@@ -3,6 +3,7 @@ package ethernet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"vrio/internal/bufpool"
 )
@@ -11,6 +12,12 @@ import (
 // (or at the IOclient for responses). It mirrors §4.4's zero-copy SKB
 // construction: fragments are collected per (source MAC, message id) and the
 // message completes when the byte range [0, total) is fully covered.
+//
+// Coverage is a bitmap with one bit per message byte, marked a 64-bit word
+// at a time, so a fragment costs O(len/64) however the stream overlaps or
+// duplicates. DecodeSegment caps total at MaxMessage, so one partial holds
+// at most a 64 KiB buffer plus an 8 KiB bitmap whatever a remote sender
+// claims.
 //
 // With a buffer pool attached (SetPool), message buffers come from the pool
 // and ownership of a completed message's Data transfers to the consumer,
@@ -39,11 +46,13 @@ type reassemblyKey struct {
 	msgID uint32
 }
 
+// partialMsg is one message under reassembly. Its buffer and bitmap are
+// sized by total, which DecodeSegment has already capped at MaxMessage.
 type partialMsg struct {
 	buf      []byte
-	have     []bool // per-byte coverage bitmap, indexed by offset
-	covered  uint32
-	total    uint32
+	have     []uint64 // coverage bitmap: bit i%64 of word i/64 is byte i
+	covered  uint32   // set bits in have
+	total    uint32   // message length, at most MaxMessage
 	deviceID uint16
 	pages    int
 	frags    int
@@ -108,15 +117,12 @@ func (r *Reassembler) acquire(total uint32) *partialMsg {
 	} else {
 		p.buf = make([]byte, total)
 	}
-	// Coverage is byte-granular; +1 so total==0 still has a slot.
-	want := int(total) + 1
-	if cap(p.have) < want {
-		p.have = make([]bool, want)
+	words := (int(total) + 63) / 64
+	if cap(p.have) < words {
+		p.have = make([]uint64, words)
 	} else {
-		p.have = p.have[:want]
-		for i := range p.have {
-			p.have[i] = false
-		}
+		p.have = p.have[:words]
+		clear(p.have)
 	}
 	p.total = total
 	return p
@@ -157,17 +163,10 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	if p.total != seg.Total || p.deviceID != seg.DeviceID {
 		return nil, fmt.Errorf("%w (msg %d)", ErrDeviceMismatch, seg.MsgID)
 	}
-	// Coverage is tracked per byte via the range [Offset, Offset+len).
 	// Fragments from SegmentMessage never overlap, but retransmitted frames
-	// can duplicate; only newly covered bytes count.
-	newBytes := uint32(0)
-	for i := range seg.Payload {
-		idx := int(seg.Offset) + i
-		if !p.have[idx] {
-			p.have[idx] = true
-			newBytes++
-		}
-	}
+	// can duplicate and a sender may re-segment at another MTU; only newly
+	// covered bytes count.
+	newBytes := cover(p.have, seg.Offset, seg.Offset+uint32(len(seg.Payload)))
 	if newBytes > 0 {
 		copy(p.buf[seg.Offset:], seg.Payload)
 		p.covered += newBytes
@@ -188,6 +187,32 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	}
 	r.recycle(p)
 	return &r.done, nil
+}
+
+// cover sets the bits of bytes [lo, hi) in have and returns how many of
+// them were clear before.
+func cover(have []uint64, lo, hi uint32) uint32 {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo/64, (hi-1)/64
+	firstMask := ^uint64(0) << (lo % 64)
+	lastMask := ^uint64(0) >> (63 - (hi-1)%64)
+	if first == last {
+		m := firstMask & lastMask
+		n := bits.OnesCount64(m &^ have[first])
+		have[first] |= m
+		return uint32(n)
+	}
+	n := bits.OnesCount64(firstMask &^ have[first])
+	have[first] |= firstMask
+	for w := first + 1; w < last; w++ {
+		n += 64 - bits.OnesCount64(have[w])
+		have[w] = ^uint64(0)
+	}
+	n += bits.OnesCount64(lastMask &^ have[last])
+	have[last] |= lastMask
+	return uint32(n)
 }
 
 func (r *Reassembler) evictOldest() {

@@ -2,8 +2,11 @@ package ethernet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"vrio/internal/bufpool"
 )
 
 func reassembleAll(t *testing.T, r *Reassembler, src MAC, frames [][]byte) *Message {
@@ -225,5 +228,122 @@ func TestReassemblerShuffleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A sender that re-segments a message at another MTU (MTU-4000 fragments
+// over an MTU-1500 stream of the same bytes) partially overlaps fragments
+// already held. The message completes once, intact, and Fragments counts
+// only the fragments that brought new bytes.
+func TestReassemblerOverlappingResegmentation(t *testing.T) {
+	r := NewReassembler(0)
+	src := NewMAC(6)
+	data := make([]byte, 20000)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	small, _ := SegmentMessage(8, 3, data, 1500) // 14 × 1460 B: a0..a13
+	large, _ := SegmentMessage(8, 3, data, 4000) // 6 × 3960 B: b0..b5
+	// a0 b0 a1 b1 a2 b2 a3 b3 a4..a13: b4 and b5 are lost, so a13 finishes
+	// the message. New bytes come from a0, b0..b3, a10 (past b3's end at
+	// 15840), a11, a12 and a13; the other a-fragments are covered already.
+	var stream [][]byte
+	for i := 0; i < 4; i++ {
+		stream = append(stream, small[i], large[i])
+	}
+	stream = append(stream, small[4:]...)
+	var msg *Message
+	completions := 0
+	for i, fr := range stream {
+		m, err := r.Add(src, fr)
+		if err != nil {
+			t.Fatalf("fragment %d: %v", i, err)
+		}
+		if m != nil {
+			completions++
+			if i != len(stream)-1 {
+				t.Fatalf("completed at fragment %d of %d", i, len(stream))
+			}
+			msg = m
+		}
+	}
+	if completions != 1 {
+		t.Fatalf("completed %d times, want 1", completions)
+	}
+	if !bytes.Equal(msg.Data, data) {
+		t.Error("reassembled data corrupted")
+	}
+	if msg.Fragments != 9 {
+		t.Errorf("Fragments = %d, want 9 (only fragments with new bytes count)", msg.Fragments)
+	}
+	if r.Pending() != 0 {
+		t.Errorf("Pending = %d after completion", r.Pending())
+	}
+}
+
+// A remote sender picks Total. One 100-byte fragment claiming 256 MiB must
+// be refused before the reassembler draws a buffer or a coverage bitmap.
+func TestReassemblerRejectsOversizeTotal(t *testing.T) {
+	b := make([]byte, 100)
+	EncapSegmentInto(b, Segment{MsgID: 3, DeviceID: 1, Total: 256 << 20, Payload: make([]byte, 100-EncapOverhead)})
+	if _, err := DecodeSegment(b); !errors.Is(err, ErrBadFragment) {
+		t.Fatalf("DecodeSegment err = %v, want ErrBadFragment", err)
+	}
+	pool := bufpool.New()
+	r := NewReassembler(0)
+	r.SetPool(pool)
+	m, err := r.Add(NewMAC(1), b)
+	if m != nil || !errors.Is(err, ErrBadFragment) {
+		t.Fatalf("Add = %v, %v; want ErrBadFragment", m, err)
+	}
+	if r.Pending() != 0 || pool.Stats.Gets != 0 {
+		t.Errorf("rejected fragment acquired state: pending %d, pool gets %d", r.Pending(), pool.Stats.Gets)
+	}
+}
+
+// reassemble64K is the §4.4 steady state: one 64 KiB message in nine
+// MTU-8100 fragments, reassembled into pooled buffers that the consumer
+// returns.
+func reassemble64K(tb testing.TB) (run func()) {
+	data := make([]byte, MaxMessage)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	frames, _ := SegmentMessage(1, 1, data, 8100)
+	if len(frames) != 9 {
+		tb.Fatalf("%d fragments, want 9", len(frames))
+	}
+	pool := bufpool.New()
+	r := NewReassembler(0)
+	r.SetPool(pool)
+	src := NewMAC(1)
+	return func() {
+		for _, fr := range frames {
+			m, err := r.Add(src, fr)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if m != nil {
+				pool.PutRaw(m.Data)
+			}
+		}
+	}
+}
+
+func TestReassembleZeroAlloc(t *testing.T) {
+	run := reassemble64K(t)
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("pooled 64 KiB reassembly: %v allocs/op, want 0", allocs)
+	}
+}
+
+func BenchmarkReassemble64K(b *testing.B) {
+	run := reassemble64K(b)
+	run()
+	b.SetBytes(MaxMessage)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

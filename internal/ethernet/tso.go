@@ -106,7 +106,8 @@ func EncapSegmentInto(b []byte, s Segment) {
 }
 
 // DecodeSegment parses a fragment produced by Segment/encapSegment,
-// verifying the IPv4 header checksum. The returned payload aliases b.
+// verifying the IPv4 header checksum and that the fragment lies inside a
+// message of at most MaxMessage bytes. The returned payload aliases b.
 func DecodeSegment(b []byte) (Segment, error) {
 	if len(b) < EncapOverhead {
 		return Segment{}, ErrShortSegment
@@ -128,6 +129,12 @@ func DecodeSegment(b []byte) (Segment, error) {
 		Total:    binary.BigEndian.Uint32(tcp[8:]),
 		Last:     tcp[13]&0x08 != 0,
 		Payload:  b[EncapOverhead:],
+	}
+	// A remote sender chooses Total; the reassembler sizes a buffer and a
+	// coverage bitmap by it, so anything beyond the TSO limit is refused
+	// before either exists.
+	if s.Total > MaxMessage {
+		return Segment{}, fmt.Errorf("%w: total %d > %d", ErrBadFragment, s.Total, MaxMessage)
 	}
 	if s.Offset > s.Total || uint32(len(s.Payload)) > s.Total-s.Offset {
 		return Segment{}, fmt.Errorf("%w: offset %d + len %d > total %d",

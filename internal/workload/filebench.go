@@ -163,6 +163,8 @@ func NewWebserver(eng *sim.Engine, vcpu *guestos.VCPU, dev BlockIO, cfg Webserve
 	}
 	w := &Webserver{
 		eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0x3eb), vcpu: vcpu, dev: dev, cfg: cfg,
+		fileSectors: make([]uint64, 0, cfg.Files),
+		fileSize:    make([]int, 0, cfg.Files),
 	}
 	// Log-normal sizes with sigma 0.8, scaled to the configured mean.
 	const sigma = 0.8
