@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
+.PHONY: build fmt test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet bench-stream race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every Go file in the tree must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # The experiment scheduler fans simulation cells across goroutines; any
 # shared mutable state a future experiment sneaks in must fail here.
@@ -104,6 +108,12 @@ bench-ethernet:
 	$(GO) test -run TestReassembleZeroAlloc -bench 'BenchmarkReassemble64K' -benchmem ./internal/ethernet/
 	$(GO) test -run xxx -fuzz FuzzReassemble -fuzztime 10s ./internal/ethernet/
 
+# Tenant stream path: one 64 000-byte netperf-stream chunk plus its ack
+# through the vRIO datapath (allocs/op is per chunk), with the pool
+# steady-state and double-ownership tests.
+bench-stream:
+	$(GO) test -run 'TenantStreamPoolSteadyState|PoolNeverHoldsASlabTwice' -bench 'BenchmarkStreamChunk' -benchmem ./internal/cluster/
+
 # The distributed-volume layer under the race detector: extent maps and
 # versioned replica state, the volume router's quorum/rebuild machinery, the
 # cluster volume wiring, and the volrebuild cells (which run concurrently
@@ -127,4 +137,4 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet doccheck loadgen-smoke
+check: build fmt vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet doccheck loadgen-smoke

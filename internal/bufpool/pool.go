@@ -31,6 +31,8 @@
 //     when done. The final Release recycles both slab and Frame.
 package bufpool
 
+import "fmt"
+
 // Size classes are powers of two from 64 B to 128 KiB: Ethernet frames and
 // ring segments (2 KiB), jumbo TSO fragments (8–16 KiB), and full 64 KiB
 // transport messages plus headers all land on an exact class.
@@ -233,4 +235,22 @@ func (p *Pool) FreeSlabs() int {
 		n += len(c)
 	}
 	return n
+}
+
+// CheckFree reports a slab that sits on the free lists twice — the trace a
+// double PutRaw leaves behind, which the next two GetRaws would turn into
+// one buffer with two owners. It walks every free list, so it is for tests
+// and debugging, not the datapath.
+func (p *Pool) CheckFree() error {
+	seen := make(map[*byte]bool)
+	for c, free := range p.classes {
+		for _, b := range free {
+			first := &b[:1][0] // free slabs keep their class-size capacity
+			if seen[first] {
+				return fmt.Errorf("bufpool: %d-byte slab %p is on the free list twice", classSize(c), first)
+			}
+			seen[first] = true
+		}
+	}
+	return nil
 }

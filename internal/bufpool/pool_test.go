@@ -57,6 +57,21 @@ func TestPutAdoptsOnlyExactClassCapacity(t *testing.T) {
 	}
 }
 
+func TestCheckFreeCatchesDoublePut(t *testing.T) {
+	p := New()
+	a, b := p.GetRaw(100), p.GetRaw(100)
+	p.PutRaw(a)
+	p.PutRaw(b)
+	p.PutRaw(p.GetRaw(4000))
+	if err := p.CheckFree(); err != nil {
+		t.Fatalf("distinct slabs flagged: %v", err)
+	}
+	p.PutRaw(a[:10]) // a second owner returns the same backing array
+	if err := p.CheckFree(); err == nil {
+		t.Fatal("slab held twice on the free list not reported")
+	}
+}
+
 func TestClassCapBoundsRetention(t *testing.T) {
 	p := New()
 	for i := 0; i < defaultClassCap+10; i++ {

@@ -63,7 +63,7 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	bg := &baselineGuest{
 		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
 		id:    id,
-		netQ:  newNetQueues(),
+		netQ:  newNetQueues(h.nic.Pool()),
 		chain: chain,
 		blk:   blk,
 	}
@@ -94,12 +94,10 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 // guestSendNet: guest stack -> ring -> exit (kick) -> vhost wakeup ->
 // backend -> wire.
 func (h *BaselineHost) guestSendNet(bg *baselineGuest, f ethernet.Frame) {
-	stack := h.p.GuestNetStackCost + perByte(h.p.GuestTxPerByte, len(f.Payload))
+	size := len(f.Payload)
+	stack := h.p.GuestNetStackCost + perByte(h.p.GuestTxPerByte, size)
+	raw := f.EncodePooled(bg.netQ.pool)
 	bg.g.VM.Compute(stack, func() {
-		raw, err := f.Encode(0)
-		if err != nil {
-			panic(err)
-		}
 		// A full TX ring blocks the guest's send path (backpressure), as
 		// virtio does; retry until a descriptor frees up.
 		var post func()
@@ -110,8 +108,8 @@ func (h *BaselineHost) guestSendNet(bg *baselineGuest, f ethernet.Frame) {
 			}
 			// Bulk payloads kick the queue repeatedly (one exit per
 			// BaselineKickBytes); small messages kick once.
-			kicks := 1 + (len(f.Payload)-1)/h.p.BaselineKickBytes
-			if len(f.Payload) == 0 {
+			kicks := 1 + (size-1)/h.p.BaselineKickBytes
+			if size == 0 {
 				kicks = 1
 			}
 			bg.g.VM.ExitN(kicks, func() { // the kick(s) trap
@@ -130,20 +128,12 @@ func (h *BaselineHost) drainGuestTx(bg *baselineGuest) {
 		raw := raw
 		cost := h.p.HostBackendCost + perByte(h.p.HostPerByte, len(raw))
 		h.ioCore.Exec(bg.id, cpu.KindBusy, cost, func() {
-			f, err := ethernet.Decode(raw)
-			if err != nil {
-				return
+			out, icost, ok := bg.netQ.hostEgress(bg.vf, bg.chain, bg.id, raw)
+			if !ok {
+				return // undecodable, or dropped by policy
 			}
-			payload, icost, err := bg.chain.Process(interpose.ToDevice, uint16(bg.id), f.Payload)
-			if err != nil {
-				return // dropped by policy
-			}
-			out := f
-			out.Payload = payload
 			finish := func() {
-				if err := bg.vf.SendFrame(out); err != nil {
-					panic(err)
-				}
+				bg.vf.SendEncoded(out)
 				// TX-completion interrupt from the physical NIC; the host
 				// then injects the completion into the guest (whose EOI
 				// write exits — baseline exit #2 or #3 of Table 3).
@@ -169,18 +159,7 @@ func (h *BaselineHost) hostReceive(bg *baselineGuest, frames [][]byte) {
 		h.ioCore.Exec(bg.id, cpu.KindBusy, cost, func() {
 			delivered := 0
 			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				payload, _, err := bg.chain.Process(interpose.ToGuest, uint16(bg.id), f.Payload)
-				if err != nil {
-					continue
-				}
-				in := f
-				in.Payload = payload
-				enc, _ := in.Encode(0)
-				if bg.netQ.hostDeliver(enc) {
+				if bg.netQ.hostDeliver(bg.chain, bg.id, raw) {
 					delivered++
 				}
 			}

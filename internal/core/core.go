@@ -73,11 +73,15 @@ type Guest struct {
 // MAC reports the guest's outward-facing (F) address.
 func (g *Guest) MAC() ethernet.MAC { return g.netMAC }
 
-// OnNetRx registers the workload's frame handler.
+// OnNetRx registers the workload's frame handler. Guest net-rx frames are
+// never returned to a buffer pool — the garbage collector owns them — so
+// the handler may retain f.Payload past the call (DESIGN §10).
 func (g *Guest) OnNetRx(fn func(f ethernet.Frame)) { g.onNetRx = fn }
 
 // SendNet transmits a frame from inside the guest. The source address is
-// filled with the guest's MAC.
+// filled with the guest's MAC. Every I/O model encodes the frame into a
+// pooled slab before SendNet returns, so f.Payload is only borrowed for the
+// call and the caller may reuse it at once.
 func (g *Guest) SendNet(f ethernet.Frame) {
 	f.Src = g.netMAC
 	g.TxFrames++

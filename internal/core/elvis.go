@@ -79,7 +79,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	eg := &elvisGuest{
 		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
 		id:    id,
-		netQ:  newNetQueues(),
+		netQ:  newNetQueues(h.nic.Pool()),
 		chain: chain,
 		blk:   blk,
 		side:  len(h.guests) % len(h.sidecores),
@@ -89,11 +89,8 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 
 	eg.g.sendNet = func(f ethernet.Frame) {
 		stack := h.p.GuestNetStackCost + perByte(h.p.GuestTxPerByte, len(f.Payload))
+		raw := f.EncodePooled(eg.netQ.pool)
 		eg.g.VM.Compute(stack, func() {
-			raw, err := f.Encode(0)
-			if err != nil {
-				panic(err)
-			}
 			// Backpressure on a full ring, as with the baseline.
 			var post func()
 			post = func() {
@@ -209,20 +206,12 @@ func (h *ElvisHost) scan(i int) {
 func (h *ElvisHost) serveNetTx(i int, eg *elvisGuest, raw []byte) {
 	cost := h.p.SidecoreServiceCost + perByte(h.p.SidecorePerByte, len(raw))
 	h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
-		f, err := ethernet.Decode(raw)
-		if err != nil {
+		out, icost, ok := eg.netQ.hostEgress(eg.vf, eg.chain, eg.id, raw)
+		if !ok {
 			return
 		}
-		payload, icost, err := eg.chain.Process(interpose.ToDevice, uint16(eg.id), f.Payload)
-		if err != nil {
-			return
-		}
-		out := f
-		out.Payload = payload
 		send := func() {
-			if err := eg.vf.SendFrame(out); err != nil {
-				panic(err)
-			}
+			eg.vf.SendEncoded(out)
 			// The physical NIC raises a TX-completion interrupt, handled
 			// by the sidecore — the second host interrupt of Table 3 and
 			// the load that lets vRIO overtake Elvis at high N (§4.2).
@@ -250,18 +239,7 @@ func (h *ElvisHost) hostReceive(eg *elvisGuest, frames [][]byte) {
 		sc.Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
 			delivered := 0
 			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				payload, _, err := eg.chain.Process(interpose.ToGuest, uint16(eg.id), f.Payload)
-				if err != nil {
-					continue
-				}
-				in := f
-				in.Payload = payload
-				enc, _ := in.Encode(0)
-				if eg.netQ.hostDeliver(enc) {
+				if eg.netQ.hostDeliver(eg.chain, eg.id, raw) {
 					delivered++
 				}
 			}

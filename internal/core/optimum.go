@@ -39,10 +39,11 @@ func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
 
 	g.sendNet = func(f ethernet.Frame) {
 		// Guest network stack, then straight to the VF: no exit, no host.
+		// The frame is encoded now and the VF takes the slab when the
+		// stack's time is up.
+		raw := vf.EncodeFrame(f)
 		g.VM.Compute(h.p.GuestNetStackCost+perByte(h.p.GuestTxPerByte, len(f.Payload)), func() {
-			if err := vf.SendFrame(f); err != nil {
-				panic(err)
-			}
+			vf.SendEncoded(raw)
 			// TX-completion interrupt, delivered exitless — the second
 			// guest interrupt of Table 3.
 			h.eng.After(h.p.NICProcessCost, func() { g.VM.GuestIRQExitless(nil) })

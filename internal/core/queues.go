@@ -1,6 +1,11 @@
 package core
 
 import (
+	"vrio/internal/bufpool"
+	"vrio/internal/ethernet"
+	"vrio/internal/interpose"
+	"vrio/internal/nic"
+	"vrio/internal/sim"
 	"vrio/internal/virtio"
 )
 
@@ -19,9 +24,15 @@ const (
 // guest stocks with empty buffers for the host to fill — both real
 // byte-level rings (package virtio), exactly the structures Elvis polls and
 // the baseline kicks.
+//
+// Frames crossing between the rings and the host NIC live in slabs of the
+// host NIC's pool: the guest's encoded frame until the TX ring has copied
+// it, each popped TX frame until the host has re-encoded it for the VF, and
+// each received VF frame until it is copied into a guest rx buffer.
 type netQueues struct {
-	tx *virtio.Ring
-	rx *virtio.Ring
+	tx   *virtio.Ring
+	rx   *virtio.Ring
+	pool *bufpool.Pool
 	// rxFree are host-side pre-popped guest buffers awaiting frames.
 	rxFree []virtio.Chain
 	// RxDrops counts frames dropped for want of guest rx buffers.
@@ -33,7 +44,7 @@ type netQueues struct {
 	pop  virtio.Chain
 }
 
-func newNetQueues() *netQueues {
+func newNetQueues(pool *bufpool.Pool) *netQueues {
 	tx, err := virtio.NewRing(queueSize, segmentSize)
 	if err != nil {
 		panic(err)
@@ -42,7 +53,7 @@ func newNetQueues() *netQueues {
 	if err != nil {
 		panic(err)
 	}
-	q := &netQueues{tx: tx, rx: rx}
+	q := &netQueues{tx: tx, rx: rx, pool: pool}
 	q.stockRx(rxBuffers)
 	return q
 }
@@ -64,17 +75,21 @@ func (q *netQueues) stockRx(n int) {
 	}
 }
 
-// guestSend places an encoded frame on the TX ring. It reports whether the
-// ring had room (a full ring drops, as a real overloaded virtio device
-// does).
+// guestSend places an encoded pooled frame on the TX ring. The ring copies
+// it, so on success the slab goes back to the pool. It reports whether the
+// ring had room; on a full ring the caller keeps the frame and retries, as
+// a guest blocked on virtio backpressure does.
 func (q *netQueues) guestSend(frame []byte) bool {
-	_, err := q.tx.Add(frame, 0)
-	return err == nil
+	if _, err := q.tx.Add(frame, 0); err != nil {
+		return false
+	}
+	q.pool.PutRaw(frame)
+	return true
 }
 
-// hostPopTx drains up to max pending TX frames (host side). The scratch
-// chain is reusable because each chain is pushed back before the next pop;
-// frames are cloned since they outlive the descriptors.
+// hostPopTx drains up to max pending TX frames (host side) into pool slabs,
+// which the caller owns (hostEgress recycles them). The scratch chain is
+// reusable because each chain is pushed back before the next pop.
 func (q *netQueues) hostPopTx(max int) [][]byte {
 	var out [][]byte
 	for max <= 0 || len(out) < max {
@@ -82,11 +97,29 @@ func (q *netQueues) hostPopTx(max int) [][]byte {
 		if err != nil || !ok {
 			break
 		}
-		frame := append([]byte{}, q.pop.Out...)
+		frame := q.pool.GetRaw(len(q.pop.Out))
+		copy(frame, q.pop.Out)
 		q.tx.Push(q.pop, nil)
 		out = append(out, frame)
 	}
 	return out
+}
+
+// hostEgress runs one popped TX frame through the interposition chain
+// toward the device and encodes the result for vf, recycling raw. The
+// caller owns the encoded slab until it hands it to vf.SendEncoded. ok is
+// false when the frame does not decode or the chain rejects it.
+func (q *netQueues) hostEgress(vf *nic.VF, chain *interpose.Chain, id int, raw []byte) (enc []byte, icost sim.Time, ok bool) {
+	defer q.pool.PutRaw(raw)
+	f, err := ethernet.Decode(raw)
+	if err != nil {
+		return nil, 0, false
+	}
+	f.Payload, icost, err = chain.Process(interpose.ToDevice, uint16(id), f.Payload)
+	if err != nil {
+		return nil, 0, false
+	}
+	return vf.EncodeFrame(f), icost, true
 }
 
 // guestReapTx frees completed TX descriptors (guest side).
@@ -94,21 +127,36 @@ func (q *netQueues) guestReapTx() int {
 	return q.tx.ReapInto(&q.reap, 0)
 }
 
-// hostDeliver fills one guest rx buffer with the frame (host side). False
-// means no buffer was available and the frame is dropped.
-func (q *netQueues) hostDeliver(frame []byte) bool {
+// hostDeliver runs one frame received on the host VF through the
+// interposition chain toward the guest and copies the result into a guest
+// rx buffer (host side), recycling raw. False means the frame was dropped:
+// undecodable, rejected by the chain, or no rx buffer was available.
+func (q *netQueues) hostDeliver(chain *interpose.Chain, id int, raw []byte) bool {
+	defer q.pool.PutRaw(raw)
+	f, err := ethernet.Decode(raw)
+	if err != nil {
+		return false
+	}
+	f.Payload, _, err = chain.Process(interpose.ToGuest, uint16(id), f.Payload)
+	if err != nil {
+		return false
+	}
 	if len(q.rxFree) == 0 {
 		q.RxDrops++
 		return false
 	}
 	c := q.rxFree[0]
 	q.rxFree = q.rxFree[1:]
-	q.rx.Push(c, frame)
+	enc := f.EncodePooled(q.pool)
+	q.rx.Push(c, enc) // copies into the guest's buffer
+	q.pool.PutRaw(enc)
 	return true
 }
 
 // guestReapRx collects received frames and restocks the buffers. Frames are
-// cloned out of the reusable batch because they escape into the guest stack.
+// copied out of the reusable batch into fresh, garbage-collected buffers:
+// they escape into the guest stack, whose net-rx frames a workload may
+// retain (DESIGN §10).
 func (q *netQueues) guestReapRx() [][]byte {
 	n := q.rx.ReapInto(&q.reap, 0)
 	if n == 0 {

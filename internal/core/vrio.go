@@ -166,16 +166,17 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 			c.DroppedWhilePaused++
 			return // migration blackout: the guest is suspended
 		}
-		raw, err := f.Encode(0)
-		if err != nil {
-			panic(err)
-		}
+		// The frame is encoded now, into a pooled slab this send owns;
+		// SendNet borrows it, so it goes back once the message is out.
+		pool := c.Port.BufPool()
+		raw := f.EncodePooled(pool)
 		// Guest stack + transport encapsulation (§4.3's added processing,
 		// the +9% of Figure 10), then out the VF — no exit.
 		cost := h.p.GuestNetStackCost + h.p.EncapCost +
 			perByte(h.p.GuestTxPerByte+h.p.EncapPerByte, len(f.Payload))
 		c.Guest.VM.Compute(cost, func() {
 			c.Driver.SendNet(uint8(virtio.DeviceNet), c.netID, raw)
+			pool.PutRaw(raw)
 			// TX-completion interrupt from the channel VF, exitless.
 			h.eng.After(h.p.NICProcessCost, func() {
 				if cfg.Bare {

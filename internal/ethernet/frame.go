@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"vrio/internal/bufpool"
 )
 
 // MAC is a 48-bit Ethernet address.
@@ -95,6 +97,17 @@ func (f *Frame) Encode(mtu int) ([]byte, error) {
 	PutHeader(b, f.Dst, f.Src, f.EtherType)
 	copy(b[HeaderSize:], f.Payload)
 	return b, nil
+}
+
+// EncodePooled serializes the frame into a slab drawn from pool. The caller
+// owns the slab and returns it with pool.PutRaw (or hands it to a consumer
+// that does); f.Payload is only read during the call. Every simulated
+// tenant-frame transmit encodes through here.
+func (f *Frame) EncodePooled(pool *bufpool.Pool) []byte {
+	b := pool.GetRaw(HeaderSize + len(f.Payload))
+	PutHeader(b, f.Dst, f.Src, f.EtherType)
+	copy(b[HeaderSize:], f.Payload)
+	return b
 }
 
 // PutHeader writes the 14-byte Ethernet header into b, which must be at

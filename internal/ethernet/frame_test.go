@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"vrio/internal/bufpool"
 )
 
 func TestMACString(t *testing.T) {
@@ -43,6 +45,29 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// EncodePooled produces the same bytes as Encode, in a recyclable slab, and
+// reads the payload only during the call.
+func TestFrameEncodePooledMatchesEncode(t *testing.T) {
+	pool := bufpool.New()
+	f := func(dst, src [6]byte, et uint16, payload []byte) bool {
+		fr := Frame{Dst: MAC(dst), Src: MAC(src), EtherType: et, Payload: payload}
+		want, err := fr.Encode(0)
+		if err != nil {
+			return false
+		}
+		got := fr.EncodePooled(pool)
+		clear(payload) // the slab must not alias the borrowed payload
+		ok := bytes.Equal(got, want)
+		return pool.PutRaw(got) && ok
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if pool.Stats.Misses == pool.Stats.Gets {
+		t.Error("recycled slabs were never reused")
 	}
 }
 

@@ -683,7 +683,7 @@ func (h *IOHypervisor) pickWorker() *Worker {
 // complete messages are steered as work items. The scratch batch is safe to
 // reuse across rings because HandleBatch/ingressPlain fully consume each
 // frame before returning (fragments are copied into reassembly buffers and
-// recycled; plain frames are decoded and re-encoded).
+// recycled; plain frames are re-encoded into pooled slabs and recycled).
 func (w *Worker) scan() {
 	h := w.hyp
 	found := false
@@ -780,8 +780,10 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 }
 
 // ingressPlain handles a frame from the uplink (external party -> some VM's
-// F address).
+// F address). The frame is consumed here and recycled on return; what the
+// client gets is re-encoded into a pooled slab the steered item owns.
 func (h *IOHypervisor) ingressPlain(frame []byte) {
+	defer h.bufPool().PutRaw(frame)
 	if h.failed {
 		return
 	}
@@ -800,8 +802,8 @@ func (h *IOHypervisor) ingressPlain(frame []byte) {
 		h.Counters.Inc("interpose_drops", 1)
 		return
 	}
-	inner := ethernet.Frame{Dst: f.Dst, Src: f.Src, EtherType: f.EtherType, Payload: payload}
-	raw, _ := inner.Encode(0)
+	f.Payload = payload
+	raw := f.EncodePooled(h.bufPool())
 	cost := h.p.WorkerServiceCost + h.p.EncapCost + icost
 	it := h.getSteer()
 	it.op = steerOpNetIn
@@ -955,6 +957,9 @@ func (it *steerItem) run() {
 		}
 		h.endTxBatch()
 	}
+	if it.raw != nil { // SendNetRx copied it, or the host died first
+		h.bufPool().PutRaw(it.raw)
+	}
 	*it = steerItem{h: it.h, fn: it.fn}
 	h.steerFree = append(h.steerFree, it)
 }
@@ -1003,8 +1008,9 @@ func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []by
 		}
 		final := out
 		final.Payload = inPayload
-		raw, _ := final.Encode(0)
+		raw := final.EncodePooled(h.bufPool())
 		h.endpoint.SendNetRx(local.key.client, local.key.id, raw)
+		h.bufPool().PutRaw(raw)
 		h.txInterrupt()
 		return
 	}

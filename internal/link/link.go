@@ -392,10 +392,10 @@ type Switch struct {
 	fib     map[ethernet.MAC]int
 
 	// Fabric role state, all nil/zero for a classic rack switch.
-	rack      int                               // this leaf's rack id
-	locate    func(ethernet.MAC) (int, bool)    // MAC -> owning rack
-	uplinks   []int                             // leaf: uplink port indices
-	rackPorts map[int][]int                     // spine: rack -> ports
+	rack      int                            // this leaf's rack id
+	locate    func(ethernet.MAC) (int, bool) // MAC -> owning rack
+	uplinks   []int                          // leaf: uplink port indices
+	rackPorts map[int][]int                  // spine: rack -> ports
 
 	// Forwarded and Flooded count frames by forwarding decision; Drops
 	// tallies frames the switch discarded (runts that failed to decode,
@@ -514,9 +514,10 @@ func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
 	// frame additionally rides one hash-chosen uplink so broadcasts reach
 	// the rest of the fabric exactly once.
 	s.Flooded++
+	sent := false
 	for i, p := range s.ports {
 		if i != ingress && !p.uplink {
-			p.tx.Send(frame)
+			p.tx.Send(floodCopy(frame, &sent))
 		}
 	}
 	if len(s.uplinks) > 0 && !s.ports[ingress].uplink {
@@ -524,9 +525,22 @@ func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
 		// is local to this rack — the flood above already covers it.
 		if rack, ok := s.locateRack(dst); !ok || rack != s.rack {
 			out := s.uplinks[macHash(dst)%uint32(len(s.uplinks))]
-			s.ports[out].tx.Send(frame)
+			s.ports[out].tx.Send(floodCopy(frame, &sent))
 		}
 	}
+}
+
+// floodCopy returns the buffer for the next egress port of a flood: the
+// first port keeps the original, every later one gets a private copy. Each
+// receiver owns the frame it is handed and may recycle it into its buffer
+// pool, so two ports must never share one backing array. *sent tracks
+// whether the original has been handed out.
+func floodCopy(frame []byte, sent *bool) []byte {
+	if !*sent {
+		*sent = true
+		return frame
+	}
+	return append([]byte(nil), frame...)
 }
 
 // locateRack wraps locate for callers that must tolerate a nil locator.
@@ -558,9 +572,10 @@ func (s *Switch) egressRemote(ingress int, dst ethernet.MAC, frame []byte) {
 func (s *Switch) egressSpine(ingress int, dst ethernet.MAC, frame []byte) {
 	if dst == ethernet.Broadcast {
 		s.Flooded++
+		sent := false
 		for i, p := range s.ports {
 			if i != ingress {
-				p.tx.Send(frame)
+				p.tx.Send(floodCopy(frame, &sent))
 			}
 		}
 		return

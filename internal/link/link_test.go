@@ -169,6 +169,71 @@ func TestSwitchBroadcast(t *testing.T) {
 	}
 }
 
+// Every receiver owns the frame it is handed and may recycle it into a
+// buffer pool, so a flood must hand each egress port its own backing array:
+// a shared one would be returned to the pool once per port.
+func TestSwitchFloodGivesEachPortItsOwnCopy(t *testing.T) {
+	capture := func(got *[][]byte) Receiver {
+		return ReceiverFunc(func(frame []byte) { *got = append(*got, frame) })
+	}
+	check := func(t *testing.T, got [][]byte, want []byte, ports int) {
+		t.Helper()
+		if len(got) != ports {
+			t.Fatalf("flood reached %d ports, want %d", len(got), ports)
+		}
+		seen := map[*byte]bool{}
+		for i, b := range got {
+			if string(b) != string(want) {
+				t.Errorf("port copy %d = %q, want %q", i, b, want)
+			}
+			if seen[&b[0]] {
+				t.Errorf("port copy %d shares a backing array with another port", i)
+			}
+			seen[&b[0]] = true
+		}
+	}
+
+	t.Run("leaf", func(t *testing.T) {
+		// Three host ports plus one uplink besides the ingress port.
+		e := sim.NewEngine()
+		sw := NewSwitch(e, 0)
+		var got [][]byte
+		in := NewDuplex(e, 10e9, 10)
+		sw.AttachPort(in)
+		for i := 0; i < 3; i++ {
+			c := NewDuplex(e, 10e9, 10)
+			sw.AttachPort(c)
+			c.BtoA.SetReceiver(capture(&got))
+		}
+		up := NewDuplex(e, 10e9, 10)
+		sw.AttachUplink(up)
+		up.AtoB.SetReceiver(capture(&got))
+		frame := frameBytes(t, ethernet.NewMAC(1), ethernet.Broadcast, "flood")
+		want := append([]byte(nil), frame...)
+		in.AtoB.Send(frame)
+		e.Run()
+		check(t, got, want, 4)
+	})
+
+	t.Run("spine", func(t *testing.T) {
+		e := sim.NewEngine()
+		sw := NewSwitch(e, 0)
+		var got [][]byte
+		in := NewDuplex(e, 10e9, 10)
+		sw.SetRackPort(0, sw.AttachPort(in))
+		for i := 1; i <= 3; i++ {
+			c := NewDuplex(e, 10e9, 10)
+			sw.SetRackPort(i, sw.AttachPort(c))
+			c.BtoA.SetReceiver(capture(&got))
+		}
+		frame := frameBytes(t, ethernet.NewMAC(1), ethernet.Broadcast, "spine-bcast")
+		want := append([]byte(nil), frame...)
+		in.AtoB.Send(frame)
+		e.Run()
+		check(t, got, want, 3)
+	})
+}
+
 func TestSwitchHairpinSuppressed(t *testing.T) {
 	e := sim.NewEngine()
 	sw := NewSwitch(e, 0)

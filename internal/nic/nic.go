@@ -135,8 +135,16 @@ func (n *NIC) ReceiveFrame(frame []byte) {
 		return
 	}
 	if f.Dst == ethernet.Broadcast {
+		// Each VF's consumer owns (and may recycle) what it receives, so
+		// every VF past the first gets its own copy.
+		first := true
 		for _, vf := range n.vfs {
-			vf.ingress(frame)
+			if first {
+				vf.ingress(frame)
+				first = false
+				continue
+			}
+			vf.ingress(append([]byte(nil), frame...))
 		}
 		return
 	}
@@ -315,33 +323,51 @@ func (v *VF) PollInto(dst *[][]byte, max int) int {
 	return n
 }
 
-// SendFrame encodes and transmits one Ethernet frame after NIC processing.
-// A zero source address is filled with the VF's MAC; a caller-provided
-// source (e.g. a front-end F address on the IOhost uplink) is preserved.
-// Frames addressed to a sibling VF are switched inside the NIC, as SRIOV
-// hardware does, without touching the wire.
+// SendFrame encodes and transmits one Ethernet frame after NIC processing:
+// EncodeFrame followed by SendEncoded. f.Payload is only borrowed for the
+// duration of the call.
 func (v *VF) SendFrame(f ethernet.Frame) error {
-	if v.linkDown {
-		v.FlapDrops++
-		return nil // carrier lost: the frame vanishes, as on real hardware
-	}
+	v.SendEncoded(v.EncodeFrame(f))
+	return nil
+}
+
+// EncodeFrame encodes f into a slab from the NIC's pool, filling a zero
+// source address with the VF's MAC (a caller-provided source, e.g. a
+// front-end F address on the IOhost uplink, is preserved). The caller owns
+// the slab: hand it to SendEncoded or return it with PutRaw. Senders that
+// transmit after a modelled delay encode first, so the payload they borrow
+// is free to reuse as soon as they return.
+func (v *VF) EncodeFrame(f ethernet.Frame) []byte {
 	if f.Src == (ethernet.MAC{}) {
 		f.Src = v.mac
 	}
-	// Encode into a pooled buffer (header + payload in one pass). Ownership
-	// moves to the receiver; plain tenant frames that escape into guest
-	// stacks simply fall back to the garbage collector.
-	b := v.nic.Pool().GetRaw(ethernet.HeaderSize + len(f.Payload))
-	ethernet.PutHeader(b, f.Dst, f.Src, f.EtherType)
-	copy(b[ethernet.HeaderSize:], f.Payload)
-	v.TxFrames++
-	if sibling, local := v.nic.vfs[f.Dst]; local && sibling != v {
-		v.nic.eng.After(v.nic.cfg.ProcessCost, func() { sibling.ingress(b) })
-		return nil
-	}
-	v.nic.queueTx(b)
-	return nil
+	return f.EncodePooled(v.nic.Pool())
 }
+
+// SendEncoded transmits an already-encoded frame after NIC processing,
+// taking ownership of frame. The slab travels to the receiver, which
+// recycles it into the shared pool once consumed. Frames addressed to a
+// sibling VF are switched inside the NIC, as SRIOV hardware does, without
+// touching the wire.
+func (v *VF) SendEncoded(frame []byte) {
+	if v.linkDown {
+		v.FlapDrops++
+		v.nic.Pool().PutRaw(frame)
+		return // carrier lost: the frame vanishes, as on real hardware
+	}
+	v.TxFrames++
+	var dst ethernet.MAC
+	copy(dst[:], frame)
+	if sibling, local := v.nic.vfs[dst]; local && sibling != v {
+		v.nic.eng.After(v.nic.cfg.ProcessCost, func() { sibling.ingress(frame) })
+		return
+	}
+	v.nic.queueTx(frame)
+}
+
+// Pool returns the buffer pool behind the VF's NIC: consumers of received
+// frames recycle each slab into it once they are done with the bytes.
+func (v *VF) Pool() *bufpool.Pool { return v.nic.Pool() }
 
 // SendMessage transmits a vRIO transport message of up to 64 KiB via TSO:
 // the NIC segments it into MTU-sized encapsulated fragments (§4.3) and

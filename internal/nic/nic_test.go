@@ -160,8 +160,48 @@ func TestNICBroadcastReachesAllVFs(t *testing.T) {
 	vf2 := b.AddVF(ethernet.NewMAC(3), ModePoll)
 	src.SendFrame(ethernet.Frame{Dst: ethernet.Broadcast, Payload: []byte("b")})
 	e.Run()
-	if len(vf1.Poll(0)) != 1 || len(vf2.Poll(0)) != 1 {
-		t.Error("broadcast not delivered to all VFs")
+	got1, got2 := vf1.Poll(0), vf2.Poll(0)
+	if len(got1) != 1 || len(got2) != 1 {
+		t.Fatal("broadcast not delivered to all VFs")
+	}
+	// Each VF's consumer owns (and may recycle) its frame.
+	if &got1[0][0] == &got2[0][0] {
+		t.Error("VFs share one broadcast buffer")
+	}
+	if !bytes.Equal(got1[0], got2[0]) {
+		t.Error("VF copies differ")
+	}
+}
+
+// A deferred sender encodes first and transmits later: the payload it
+// borrowed is free as soon as EncodeFrame returns, and a send on a downed
+// port gives the slab back to the pool.
+func TestVFEncodeThenSendEncoded(t *testing.T) {
+	e := sim.NewEngine()
+	a, b := pair(e, testCfg(), testCfg())
+	src := a.AddVF(ethernet.NewMAC(1), ModePoll)
+	dst := b.AddVF(ethernet.NewMAC(2), ModePoll)
+
+	payload := []byte("borrowed")
+	raw := src.EncodeFrame(ethernet.Frame{Dst: dst.MAC(), EtherType: ethernet.EtherTypePlain, Payload: payload})
+	copy(payload, "reused!!")
+	e.After(50, func() { src.SendEncoded(raw) })
+	e.Run()
+	frames := dst.Poll(0)
+	if len(frames) != 1 {
+		t.Fatalf("delivered %d frames", len(frames))
+	}
+	f, _ := ethernet.Decode(frames[0])
+	if string(f.Payload) != "borrowed" || f.Src != src.MAC() {
+		t.Errorf("frame = %q from %v", f.Payload, f.Src)
+	}
+
+	src.SetLinkUp(false)
+	raw = src.EncodeFrame(ethernet.Frame{Dst: dst.MAC(), Payload: payload})
+	free := a.Pool().FreeSlabs()
+	src.SendEncoded(raw)
+	if src.FlapDrops != 1 || a.Pool().FreeSlabs() != free+1 {
+		t.Errorf("downed send: FlapDrops %d, free slabs %d -> %d", src.FlapDrops, free, a.Pool().FreeSlabs())
 	}
 }
 

@@ -137,7 +137,7 @@ type pendingBlk struct {
 	span     trace.SpanID // guest_ring root span, 0 when tracing is off
 	deviceID uint16
 	devType  uint8
-	queue    uint8 // submission queue; stamps the top byte of every id
+	queue    uint8    // submission queue; stamps the top byte of every id
 	chunks   [][]byte // raw payload chunks for retransmission (alias the request)
 	timeout  sim.Time
 	retries  int

@@ -19,6 +19,7 @@ type Macro struct {
 	seq     uint64
 	sentAt  map[uint64]sim.Time
 	stopped bool
+	buf     []byte // request payload, reused across sends
 }
 
 // MacroConfig parameterizes a macrobenchmark.
@@ -71,7 +72,7 @@ func (m *Macro) sendNext() {
 	m.station.Send(ethernet.Frame{
 		Dst:       m.target,
 		EtherType: ethernet.EtherTypePlain,
-		Payload:   seqPayload(seq, m.station.eng.Now(), m.cfg.ReqSize),
+		Payload:   seqPayload(&m.buf, seq, m.station.eng.Now(), m.cfg.ReqSize),
 	}, nil)
 }
 
@@ -92,6 +93,7 @@ func (m *Macro) handleResponse(f ethernet.Frame) {
 // InstallMacroServer makes a guest serve macro requests: serviceCost of
 // CPU, then a respSize response echoing the sequence number.
 func InstallMacroServer(g netServer, serviceCost sim.Time, respSize int) {
+	var buf []byte // response payload, reused across sends
 	g.OnNetRx(func(f ethernet.Frame) {
 		seq, _, ok := parseSeqPayload(f.Payload)
 		if !ok {
@@ -102,7 +104,7 @@ func InstallMacroServer(g netServer, serviceCost sim.Time, respSize int) {
 			g.SendNet(ethernet.Frame{
 				Dst:       src,
 				EtherType: ethernet.EtherTypePlain,
-				Payload:   seqPayload(seq, 0, respSize),
+				Payload:   seqPayload(&buf, seq, 0, respSize),
 			})
 		})
 	})

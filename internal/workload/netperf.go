@@ -17,6 +17,7 @@ type RR struct {
 	sentAt  map[uint64]sim.Time
 	size    int
 	stopped bool
+	buf     []byte // request payload, reused across sends
 }
 
 // NewRR wires a generator station against a server endpoint (install the
@@ -49,7 +50,7 @@ func (rr *RR) sendNext() {
 	rr.station.Send(ethernet.Frame{
 		Dst:       rr.target,
 		EtherType: ethernet.EtherTypePlain,
-		Payload:   seqPayload(seq, rr.station.eng.Now(), rr.size),
+		Payload:   seqPayload(&rr.buf, seq, rr.station.eng.Now(), rr.size),
 	}, nil)
 	rr.station.eng.After(rrTimeout, func() { rr.expire(seq) })
 }
@@ -110,6 +111,9 @@ type Stream struct {
 	sentAt   map[uint64]sim.Time
 	acked    map[uint64]struct{}
 	stopped  bool
+	// chunk and ack are the payload buffers of the guest's chunks and the
+	// station's acks, reused across sends.
+	chunk, ack []byte
 
 	// Lost counts chunks presumed lost and recovered by timeout.
 	Lost uint64
@@ -144,7 +148,7 @@ func NewStream(guest netServer, station *Station, chunkSize int, perChunk sim.Ti
 		if err := station.vf.SendFrame(ethernet.Frame{
 			Dst:       guest.MAC(),
 			EtherType: ethernet.EtherTypePlain,
-			Payload:   seqPayload(seq, station.eng.Now(), 16),
+			Payload:   seqPayload(&st.ack, seq, station.eng.Now(), 16),
 		}); err != nil {
 			panic(err)
 		}
@@ -187,7 +191,7 @@ func (st *Stream) pump() {
 			st.guest.SendNet(ethernet.Frame{
 				Dst:       st.station.MAC(),
 				EtherType: ethernet.EtherTypePlain,
-				Payload:   seqPayload(seq, st.station.eng.Now(), st.chunkSize),
+				Payload:   seqPayload(&st.chunk, seq, st.station.eng.Now(), st.chunkSize),
 			})
 			st.station.eng.After(chunkTimeout, func() { st.expire(seq) })
 		})

@@ -39,16 +39,18 @@ func NewStation(eng *sim.Engine, p *params.P, genCore *cpu.Core, vf *nic.VF) *St
 		subs: make(map[ethernet.MAC]func(ethernet.Frame)),
 	}
 	vf.OnInterrupt(func(frames [][]byte) {
-		// Generator-side IRQ + stack handling.
+		// Generator-side IRQ + stack handling. Subscribers get each frame
+		// for the duration of the call; its slab then goes back to the
+		// pool.
 		genCore.Exec(cpu.NoOwner, cpu.KindIRQ, p.HostIRQCost, func() {
+			pool := vf.Pool()
 			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
+				if f, err := ethernet.Decode(raw); err == nil {
+					if fn := s.subs[f.Src]; fn != nil {
+						fn(f)
+					}
 				}
-				if fn := s.subs[f.Src]; fn != nil {
-					fn(f)
-				}
+				pool.PutRaw(raw)
 			}
 		})
 	})
@@ -58,19 +60,20 @@ func NewStation(eng *sim.Engine, p *params.P, genCore *cpu.Core, vf *nic.VF) *St
 // MAC reports the station's address.
 func (s *Station) MAC() ethernet.MAC { return s.mac }
 
-// Subscribe routes frames from src to fn.
+// Subscribe routes frames from src to fn. fn borrows f.Payload for the
+// duration of the call: the station recycles the frame when fn returns.
 func (s *Station) Subscribe(src ethernet.MAC, fn func(f ethernet.Frame)) {
 	s.subs[src] = fn
 }
 
 // Send transmits a frame after the generator's per-transaction service
-// time.
+// time. The frame is encoded before Send returns, so f.Payload is only
+// borrowed for the call.
 func (s *Station) Send(f ethernet.Frame, then func()) {
 	f.Src = s.mac
+	raw := s.vf.EncodeFrame(f)
 	s.core.Exec(cpu.NoOwner, cpu.KindBusy, s.p.GenServiceCost, func() {
-		if err := s.vf.SendFrame(f); err != nil {
-			panic(err)
-		}
+		s.vf.SendEncoded(raw)
 		if then != nil {
 			then()
 		}
@@ -141,12 +144,18 @@ func (r *Results) OpsPerSec(window sim.Time) float64 {
 // --- request/response framing helpers ---
 
 // seqPayload builds a payload carrying a sequence number and timestamp,
-// padded to size.
-func seqPayload(seq uint64, now sim.Time, size int) []byte {
+// padded to size with zeros, in *buf: a per-workload buffer reused across
+// sends. Reuse is safe because every send path encodes the payload before
+// returning (DESIGN §10); nothing else writes past the first 16 bytes, so
+// the zero padding survives.
+func seqPayload(buf *[]byte, seq uint64, now sim.Time, size int) []byte {
 	if size < 16 {
 		size = 16
 	}
-	b := make([]byte, size)
+	if len(*buf) != size {
+		*buf = make([]byte, size)
+	}
+	b := *buf
 	binary.LittleEndian.PutUint64(b[0:], seq)
 	binary.LittleEndian.PutUint64(b[8:], uint64(now))
 	return b

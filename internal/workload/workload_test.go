@@ -47,11 +47,19 @@ func TestResultsRates(t *testing.T) {
 }
 
 func TestSeqPayloadRoundTrip(t *testing.T) {
+	// One buffer across every call, as a workload reuses it: the header is
+	// rewritten and the padding stays zero.
+	var buf []byte
 	f := func(seq uint64, now int64, pad uint8) bool {
 		size := 16 + int(pad)
-		b := seqPayload(seq, sim.Time(now), size)
+		b := seqPayload(&buf, seq, sim.Time(now), size)
 		if len(b) != size {
 			return false
+		}
+		for _, c := range b[16:] {
+			if c != 0 {
+				return false
+			}
 		}
 		gotSeq, gotNow, ok := parseSeqPayload(b)
 		return ok && gotSeq == seq && gotNow == sim.Time(now)
@@ -62,7 +70,8 @@ func TestSeqPayloadRoundTrip(t *testing.T) {
 }
 
 func TestSeqPayloadMinimumSize(t *testing.T) {
-	b := seqPayload(1, 2, 3)
+	var buf []byte
+	b := seqPayload(&buf, 1, 2, 3)
 	if len(b) != 16 {
 		t.Errorf("undersized request not padded: %d", len(b))
 	}
