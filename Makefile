@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet bench-stream race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
+.PHONY: build fmt test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet bench-stream bench-blk race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,18 @@ bench-ethernet:
 bench-stream:
 	$(GO) test -run 'TenantStreamPoolSteadyState|PoolNeverHoldsASlabTwice' -bench 'BenchmarkStreamChunk' -benchmem ./internal/cluster/
 
+# Block payload path: one 64 KiB vRIO write plus its read-back through the
+# guest front-end, IOhost worker and ramdisk (allocs/op is per pair), the
+# per-model pool steady-state and double-ownership tests, the IOhost's
+# oversize-read refusal, the elvis/baseline corrupt-chain guards, and 10 s
+# fuzz runs of the virtio block and volume header decoders.
+bench-blk:
+	$(GO) test -run 'BlockPoolSteadyState|PoolNeverHoldsASlabTwice' -bench 'BenchmarkBlkChunk' -benchmem ./internal/cluster/
+	$(GO) test -run 'OversizeRead' ./internal/iohyp/
+	$(GO) test -run 'CorruptReadChains' ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzBlkHdr -fuzztime 10s ./internal/virtio/
+	$(GO) test -run xxx -fuzz FuzzVolHdr -fuzztime 10s ./internal/virtio/
+
 # The distributed-volume layer under the race detector: extent maps and
 # versioned replica state, the volume router's quorum/rebuild machinery, the
 # cluster volume wiring, and the volrebuild cells (which run concurrently
@@ -137,4 +149,4 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build fmt vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet doccheck loadgen-smoke
+check: build fmt vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet bench-blk doccheck loadgen-smoke

@@ -57,6 +57,33 @@ func TestStoreValidation(t *testing.T) {
 	if _, err := s.Read(0, 0); !errors.Is(err, ErrZeroSectors) {
 		t.Errorf("empty read err = %v", err)
 	}
+	if err := s.ReadInto(0, make([]byte, 100)); !errors.Is(err, ErrUnaligned) {
+		t.Errorf("unaligned read-into err = %v", err)
+	}
+	if err := s.ReadInto(9, make([]byte, 1024)); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("overflow read-into err = %v", err)
+	}
+	if err := s.ReadInto(0, nil); !errors.Is(err, ErrZeroSectors) {
+		t.Errorf("empty read-into err = %v", err)
+	}
+}
+
+// ReadInto is handed recycled buffers: it must overwrite every byte,
+// zero-filling sectors never written, not only the ones the store holds.
+func TestStoreReadIntoOverwritesRecycledBuffer(t *testing.T) {
+	s := NewStore(512, 10)
+	written := bytes.Repeat([]byte{0x3C}, 512)
+	if err := s.Write(1, written); err != nil {
+		t.Fatal(err)
+	}
+	dst := bytes.Repeat([]byte{0xEE}, 3*512)
+	if err := s.ReadInto(0, dst); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(make([]byte, 512), written...), make([]byte, 512)...)
+	if !bytes.Equal(dst, want) {
+		t.Error("ReadInto left stale bytes in an unwritten sector or misplaced the written one")
+	}
 }
 
 func TestStorePartialOverwrite(t *testing.T) {
@@ -218,6 +245,30 @@ func TestDeviceReadWriteData(t *testing.T) {
 	e.Run()
 	if !bytes.Equal(got, payload) {
 		t.Error("device round trip mismatch")
+	}
+}
+
+// A read that names a destination is served into it and hands it back as
+// Response.Data; a destination of the wrong size is refused.
+func TestDeviceReadIntoDestination(t *testing.T) {
+	e := sim.NewEngine()
+	d := NewDevice(e, NewStore(512, 100), 10, 1)
+	payload := bytes.Repeat([]byte{0x5A}, 1024)
+	d.Submit(Request{Op: OpWrite, Sector: 4, Data: payload}, func(Response) {})
+	dst := bytes.Repeat([]byte{0xEE}, 1024)
+	var got Response
+	d.Submit(Request{Op: OpRead, Sector: 4, Sectors: 2, Data: dst}, func(r Response) { got = r })
+	var short Response
+	d.Submit(Request{Op: OpRead, Sector: 4, Sectors: 2, Data: dst[:512]}, func(r Response) { short = r })
+	e.Run()
+	if got.Err != nil || len(got.Data) != len(dst) || &got.Data[0] != &dst[0] {
+		t.Fatalf("read into destination: err %v, %d bytes back, want the destination itself", got.Err, len(got.Data))
+	}
+	if !bytes.Equal(dst, payload) {
+		t.Error("destination does not hold the written data")
+	}
+	if !errors.Is(short.Err, ErrUnaligned) || short.Data != nil {
+		t.Errorf("short destination: err %v, %d bytes back", short.Err, len(short.Data))
 	}
 }
 

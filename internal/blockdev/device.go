@@ -42,7 +42,11 @@ func (o Op) String() string {
 type Request struct {
 	Op     Op
 	Sector uint64
-	// Data is the payload for writes.
+	// Data is the payload for writes. For OpRead/OpVolRead a non-nil Data
+	// is the read's destination: exactly Sectors × SectorSize bytes, filled
+	// in place and returned as Response.Data, so a caller can read straight
+	// into a buffer it owns (a pooled response slab). A nil Data reads into
+	// a fresh buffer.
 	Data []byte
 	// Sectors is the read length in sectors.
 	Sectors int
@@ -56,7 +60,8 @@ type Request struct {
 // Response is a completed request.
 type Response struct {
 	Err error
-	// Data holds read results.
+	// Data holds read results: the request's Data when it named a
+	// destination, else a fresh buffer the caller owns.
 	Data []byte
 	// Version is the replica's extent version at serve time, set on
 	// successful OpVolRead completions. Rebuild and heal copies stamp their
@@ -182,7 +187,7 @@ func (d *Device) execute(req Request) Response {
 	case OpWrite:
 		return Response{Err: d.store.Write(req.Sector, req.Data)}
 	case OpRead:
-		data, err := d.store.Read(req.Sector, req.Sectors)
+		data, err := d.read(req)
 		return Response{Err: err, Data: data}
 	case OpFlush:
 		return Response{} // the in-memory store is always durable
@@ -224,11 +229,26 @@ func (d *Device) execute(req Request) Response {
 			return Response{Err: fmt.Errorf("%w: extent %d has v%d, read demands v%d",
 				ErrStaleReplica, req.Extent, d.replica.Version(req.Extent), req.Version)}
 		}
-		data, err := d.store.Read(req.Sector, req.Sectors)
+		data, err := d.read(req)
 		return Response{Err: err, Data: data, Version: d.replica.Version(req.Extent)}
 	default:
 		return Response{Err: fmt.Errorf("%w: %d", ErrBadOp, req.Op)}
 	}
+}
+
+// read serves OpRead/OpVolRead into the request's destination, or into a
+// fresh buffer when it names none.
+func (d *Device) read(req Request) ([]byte, error) {
+	if req.Data == nil {
+		return d.store.Read(req.Sector, req.Sectors)
+	}
+	if want := req.Sectors * d.store.SectorSize(); len(req.Data) != want {
+		return nil, fmt.Errorf("%w: %d-byte destination for %d sectors", ErrUnaligned, len(req.Data), req.Sectors)
+	}
+	if err := d.store.ReadInto(req.Sector, req.Data); err != nil {
+		return nil, err
+	}
+	return req.Data, nil
 }
 
 // Scheduler is the guest OS disk scheduler (§4.5): it reorders requests so

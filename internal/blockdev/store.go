@@ -53,15 +53,9 @@ func (s *Store) Capacity() uint64 { return s.capacity }
 // written before is overwritten in place; the store never keeps a reference
 // to data.
 func (s *Store) Write(sector uint64, data []byte) error {
-	if len(data) == 0 {
-		return ErrZeroSectors
-	}
-	if len(data)%s.sectorSize != 0 {
-		return fmt.Errorf("%w: %d bytes", ErrUnaligned, len(data))
-	}
-	n := uint64(len(data) / s.sectorSize)
-	if sector+n > s.capacity {
-		return fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	n, err := s.span(sector, len(data))
+	if err != nil {
+		return err
 	}
 	for i := uint64(0); i < n; i++ {
 		src := data[int(i)*s.sectorSize : int(i+1)*s.sectorSize]
@@ -75,21 +69,49 @@ func (s *Store) Write(sector uint64, data []byte) error {
 }
 
 // Read returns n sectors starting at sector, in a fresh buffer the caller
-// owns.
+// owns. It is ReadInto on a buffer of its own.
 func (s *Store) Read(sector uint64, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, ErrZeroSectors
-	}
-	if sector+uint64(n) > s.capacity {
-		return nil, fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	// Validate before allocating: n may come from the wire.
+	if _, err := s.span(sector, n*s.sectorSize); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n*s.sectorSize)
-	for i := 0; i < n; i++ {
-		if sec, ok := s.data[sector+uint64(i)]; ok {
-			copy(out[i*s.sectorSize:], sec)
+	return out, s.ReadInto(sector, out)
+}
+
+// ReadInto fills dst, a whole number of sectors, with the sectors starting
+// at sector. Sectors never written read as zeros, so dst may be a recycled
+// buffer holding anything.
+func (s *Store) ReadInto(sector uint64, dst []byte) error {
+	n, err := s.span(sector, len(dst))
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		out := dst[int(i)*s.sectorSize : int(i+1)*s.sectorSize]
+		if sec, ok := s.data[sector+i]; ok {
+			copy(out, sec)
+		} else {
+			clear(out)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// span validates an access of length bytes at sector and returns its length
+// in sectors.
+func (s *Store) span(sector uint64, length int) (uint64, error) {
+	if length <= 0 {
+		return 0, ErrZeroSectors
+	}
+	if length%s.sectorSize != 0 {
+		return 0, fmt.Errorf("%w: %d bytes", ErrUnaligned, length)
+	}
+	n := uint64(length / s.sectorSize)
+	if sector+n > s.capacity {
+		return 0, fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	}
+	return n, nil
 }
 
 // AlignmentCopy reports how many bytes of a write buffer must be copied

@@ -134,6 +134,27 @@ func (p *Pool) PutRaw(b []byte) bool {
 	return true
 }
 
+// Place returns slab[:off+len(data)] with data at offset off, keeping the
+// off header bytes. It copies only when data is not already there — a read
+// served straight into the slab comes back in place — and trades slab for a
+// larger one from p when data does not fit. The caller owns the result as
+// it owned slab.
+func (p *Pool) Place(slab []byte, off int, data []byte) []byte {
+	n := off + len(data)
+	if n > cap(slab) {
+		grown := p.GetRaw(n)
+		copy(grown, slab[:off])
+		copy(grown[off:], data)
+		p.PutRaw(slab)
+		return grown
+	}
+	slab = slab[:n]
+	if len(data) > 0 && &slab[off] != &data[0] {
+		copy(slab[off:], data)
+	}
+	return slab
+}
+
 // Frame is a leased buffer with explicit reference counting. B is the valid
 // byte view; the backing slab (which may be larger, or start before B when
 // the frame wraps an offset view) returns to the pool on the final Release.

@@ -57,6 +57,39 @@ func TestPutAdoptsOnlyExactClassCapacity(t *testing.T) {
 	}
 }
 
+// Place lays data behind a header in a slab: in place when data already
+// sits there, by copy when it lives elsewhere, and into a larger pooled
+// slab (the header carried over, the old slab recycled) when it does not
+// fit.
+func TestPlace(t *testing.T) {
+	p := New()
+	slab := p.GetRaw(1 + 100)
+	slab[0] = 0xAA
+	for i := range slab[1:] {
+		slab[1+i] = byte(i)
+	}
+	got := p.Place(slab, 1, slab[1:])
+	if len(got) != 101 || &got[0] != &slab[0] || got[100] != 99 {
+		t.Fatal("data already in place was moved or cut")
+	}
+
+	other := []byte{7, 8, 9}
+	got = p.Place(slab, 1, other)
+	if len(got) != 4 || &got[0] != &slab[0] || got[0] != 0xAA || got[1] != 7 || got[3] != 9 {
+		t.Fatalf("copy into the slab: %v", got[:4])
+	}
+
+	big := make([]byte, 300)
+	big[299] = 5
+	got = p.Place(slab, 1, big)
+	if len(got) != 301 || cap(got) != 512 || got[0] != 0xAA || got[300] != 5 {
+		t.Fatalf("grown slab: len %d cap %d", len(got), cap(got))
+	}
+	if p.FreeSlabs() != 1 {
+		t.Errorf("FreeSlabs = %d, want the outgrown slab back", p.FreeSlabs())
+	}
+}
+
 func TestCheckFreeCatchesDoublePut(t *testing.T) {
 	p := New()
 	a, b := p.GetRaw(100), p.GetRaw(100)

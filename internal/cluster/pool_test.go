@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"vrio/internal/core"
@@ -122,6 +123,137 @@ func TestPoolNeverHoldsASlabTwice(t *testing.T) {
 			}
 		}
 	})
+	// Quorum writes and replica reads on a striped volume, then a crash:
+	// the rebuild reads whole extents into IOhost response slabs and
+	// writes them to a survivor.
+	t.Run("volrebuild", func(t *testing.T) {
+		tb := Build(Spec{
+			Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
+			VolReplicas: 2, VolQuorum: 2, VolQueues: 2,
+			NoJitter: true, Seed: 922,
+		})
+		for _, vol := range tb.Volumes {
+			vol := vol
+			buf := make([]byte, 4096)
+			var issue func(i int)
+			issue = func(i int) {
+				sector := uint64(i*17%64) * 8
+				vol.Write(sector, buf, func(error) {
+					vol.Read(sector, 8, func([]byte, error) { issue(i + 8) })
+				})
+			}
+			for i := 0; i < 8; i++ {
+				issue(i)
+			}
+		}
+		tb.Eng.At(5*sim.Millisecond, func() {
+			tb.IOHyps[1].Fail()
+			tb.IOhostDied(1)
+		})
+		watchFree(t, tb, 30*sim.Millisecond)
+		for i, vol := range tb.Volumes {
+			if vol.Counters.Get("rebuild_extents") == 0 {
+				t.Fatalf("volume %d rebuilt nothing", i)
+			}
+		}
+	})
+	// Multi-queue writes at depth, with the hot shared region that
+	// serializes conflicting queues in the scheduler.
+	t.Run("mqscaling", func(t *testing.T) {
+		tb := Build(Spec{
+			Model: core.ModelVRIO, VMsPerHost: 2, WithBlock: true,
+			BlkQueues: 4, IOhostSidecores: 2, NoJitter: true, Seed: 7,
+		})
+		var loads []*workload.MQBlock
+		for _, g := range tb.Guests {
+			m := workload.NewMQBlock(tb.Eng, g, 4, 8, 4096)
+			m.Start()
+			loads = append(loads, m)
+		}
+		watchFree(t, tb, 10*sim.Millisecond)
+		for i, m := range loads {
+			if m.Done() == 0 {
+				t.Fatalf("guest %d completed no writes", i)
+			}
+		}
+	})
+}
+
+// blkChunk is the payload size of the block-path pool tests: one full
+// 64 KiB request, which the vRIO transport carries in two chunks.
+const blkChunk = 64 << 10
+
+// blkLoop is a closed block load on one guest: each of its slots writes a
+// 64 KiB chunk to its own sectors, reads it back, checks the bytes and
+// goes again.
+type blkLoop struct {
+	g    *core.Guest
+	buf  []byte
+	ops  int
+	errs int
+}
+
+func newBlkLoop(g *core.Guest, slots int) *blkLoop {
+	l := &blkLoop{g: g, buf: make([]byte, blkChunk)}
+	for i := range l.buf {
+		l.buf[i] = byte(i * 7)
+	}
+	for s := 0; s < slots; s++ {
+		l.issue(uint64(s) * blkChunk / 512)
+	}
+	return l
+}
+
+func (l *blkLoop) issue(sector uint64) {
+	l.g.WriteBlock(sector, l.buf, func(err error) {
+		if err != nil {
+			l.errs++
+		}
+		l.g.ReadBlock(sector, blkChunk/512, func(data []byte, err error) {
+			if err != nil || !bytes.Equal(data, l.buf) {
+				l.errs++
+			}
+			l.ops++
+			l.issue(sector)
+		})
+	})
+}
+
+// blockCell builds a one-guest block testbed running slots concurrent
+// write-then-read loops.
+func blockCell(model core.ModelName, slots int) (*Testbed, *blkLoop) {
+	tb := Build(Spec{Model: model, VMHosts: 1, VMsPerHost: 1, WithBlock: true, NoJitter: true, Seed: 5})
+	return tb, newBlkLoop(tb.Guests[0], slots)
+}
+
+// Once warm, block payloads must run out of the testbed pool in every
+// model with a block device (DESIGN §10, "Block payloads"): the guest's
+// encoded request, the transport chunks and frames (vRIO), the read's
+// status+data response slab the backend fills in place, and the completion
+// the virtio ring copies back (elvis, baseline). Pool misses must not grow
+// with requests.
+func TestBlockPoolSteadyState(t *testing.T) {
+	for _, model := range []core.ModelName{core.ModelVRIO, core.ModelElvis, core.ModelBaseline} {
+		t.Run(string(model), func(t *testing.T) {
+			tb, l := blockCell(model, 2)
+			tb.Eng.RunUntil(5 * sim.Millisecond) // warm-up
+			misses, ops := tb.pool.Stats.Misses, l.ops
+			tb.Eng.RunUntil(30 * sim.Millisecond)
+			misses, ops = tb.pool.Stats.Misses-misses, l.ops-ops
+			if ops < 50 {
+				t.Fatalf("only %d write+read pairs in the measured window", ops)
+			}
+			if l.errs != 0 {
+				t.Fatalf("%d failed or corrupt operations", l.errs)
+			}
+			if misses != 0 {
+				t.Errorf("pool missed %d times over %d write+read pairs; want 0", misses, ops)
+			}
+			if err := tb.pool.CheckFree(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
 
 // BenchmarkStreamChunk measures one 64 000-byte stream chunk crossing the
@@ -144,5 +276,33 @@ func BenchmarkStreamChunk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next()
+	}
+}
+
+// BenchmarkBlkChunk measures one 64 KiB vRIO block write plus its read-back
+// through the guest front-end, the transport (two chunks each way), the
+// IOhost worker and the ramdisk. With one loop slot, each iteration is
+// exactly one write+read pair, so allocs/op is the per-pair allocation
+// count; the sectors are rewritten in place, so the store allocates nothing
+// once warm.
+func BenchmarkBlkChunk(b *testing.B) {
+	tb, l := blockCell(core.ModelVRIO, 1)
+	next := func() {
+		ops := l.ops
+		for l.ops == ops {
+			tb.Eng.RunUntil(tb.Eng.Now() + 5*sim.Microsecond)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
+	}
+	b.StopTimer()
+	if l.errs != 0 {
+		b.Fatalf("%d failed or corrupt operations", l.errs)
 	}
 }

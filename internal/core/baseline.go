@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/blockdev"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
@@ -74,7 +72,7 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	bg.vf.OnInterrupt(func(frames [][]byte) { h.hostReceive(bg, frames) })
 
 	if blk != nil {
-		bg.blkQ = newBlkQueue()
+		bg.blkQ = newBlkQueue(bg.netQ.pool)
 		bg.blkDone = make(map[uint16]func([]byte, error))
 		// Guest-side per-op CPU: stack + kick exit + injected completion
 		// (guest IRQ handler + EOI exit).
@@ -182,8 +180,7 @@ func (h *BaselineHost) hostReceive(bg *baselineGuest, frames [][]byte) {
 // --- block path ---
 
 func (h *BaselineHost) guestBlkWrite(bg *baselineGuest, sector uint64, data []byte, done func(error)) {
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-	req = append(req, data...)
+	req := encodeBlkReq(bg.blkQ.pool, virtio.BlkOut, sector, data)
 	h.guestBlkSubmit(bg, req, 1, func(resp []byte, err error) {
 		if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 			err = blockdev.ErrDeviceFailed
@@ -193,10 +190,7 @@ func (h *BaselineHost) guestBlkWrite(bg *baselineGuest, sector uint64, data []by
 }
 
 func (h *BaselineHost) guestBlkRead(bg *baselineGuest, sector uint64, sectors int, done func([]byte, error)) {
-	req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-	req = append(req, n[:]...)
+	req := encodeBlkRead(bg.blkQ.pool, sector, sectors)
 	h.guestBlkSubmit(bg, req, 1+sectors*h.p.SectorSize, func(resp []byte, err error) {
 		if err != nil {
 			done(nil, err)
@@ -211,7 +205,8 @@ func (h *BaselineHost) guestBlkRead(bg *baselineGuest, sector uint64, sectors in
 }
 
 // guestBlkSubmit: ring -> exit -> vhost wakeup -> backend -> device ->
-// host IRQ -> injected completion -> reap.
+// host IRQ -> injected completion -> reap. req is a slab from encodeBlkReq
+// that it takes over.
 func (h *BaselineHost) guestBlkSubmit(bg *baselineGuest, req []byte, respCap int, done func([]byte, error)) {
 	bg.g.VM.Compute(h.p.GuestNetStackCost, func() {
 		head, ok := bg.blkQ.guestSubmit(req, respCap)
@@ -237,18 +232,20 @@ func (h *BaselineHost) serveBlk(bg *baselineGuest) {
 	}
 	bh, body, err := virtio.DecodeBlkHdr(c.Out)
 	if err != nil {
-		bg.blkQ.hostComplete(c, []byte{virtio.BlkIOErr})
+		bg.blkQ.hostComplete(c, respBlkIOErr)
 		h.completeBlk(bg)
 		return
 	}
-	respond := func(resp blockdev.Response, data []byte) {
-		status := []byte{virtio.BlkOK}
-		if resp.Err != nil {
-			status[0] = virtio.BlkIOErr
-		}
-		// Completion: physical-style device interrupt on the host.
+	pool := bg.blkQ.pool
+	// respond raises the physical-style device interrupt on the host, then
+	// pushes resp as the chain's completion. The ring copies it, so a
+	// pooled resp goes back right after.
+	respond := func(resp []byte, pooled bool) {
 		hypervisor.HostIRQ(h.ioCore, h.p, &bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-			bg.blkQ.hostComplete(c, append(status, data...))
+			bg.blkQ.hostComplete(c, resp)
+			if pooled {
+				pool.PutRaw(resp)
+			}
 			h.completeBlk(bg)
 		})
 	}
@@ -257,18 +254,33 @@ func (h *BaselineHost) serveBlk(bg *baselineGuest) {
 		// The baseline's vhost path copies block payloads.
 		h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(body)), func() {
 			bg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: body},
-				func(r blockdev.Response) { respond(r, nil) })
+				func(r blockdev.Response) { respond(blkStatus(r.Err), false) })
 		})
 	case virtio.BlkIn:
-		n := int(binary.LittleEndian.Uint32(body))
-		bg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
+		n, ok := readSectors(&c, body, h.p.SectorSize)
+		if !ok {
+			bg.blkQ.hostComplete(c, respBlkIOErr)
+			h.completeBlk(bg)
+			return
+		}
+		// The backend reads straight into the completion slab, behind the
+		// status byte.
+		out := pool.GetRaw(1 + n*h.p.SectorSize)
+		bg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n, Data: out[1:]},
 			func(r blockdev.Response) {
 				h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(r.Data)), func() {
-					respond(r, r.Data)
+					if r.Err != nil {
+						pool.PutRaw(out)
+						respond(respBlkIOErr, false)
+						return
+					}
+					out = pool.Place(out, 1, r.Data)
+					out[0] = virtio.BlkOK
+					respond(out, true)
 				})
 			})
 	default:
-		bg.blkQ.hostComplete(c, []byte{virtio.BlkUnsupp})
+		bg.blkQ.hostComplete(c, respBlkUnsupp)
 		h.completeBlk(bg)
 	}
 }

@@ -99,7 +99,9 @@ func (g *Guest) deliverNet(f ethernet.Frame) {
 }
 
 // WriteBlock writes data at the given sector through the guest's
-// paravirtual block device.
+// paravirtual block device. Every model copies data into its own request
+// buffer before WriteBlock returns and never writes to it, so the caller
+// may reuse one payload buffer for all its writes.
 func (g *Guest) WriteBlock(sector uint64, data []byte, done func(error)) {
 	if g.blkWrite == nil {
 		panic("core: guest has no block device")

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/blockdev"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
@@ -107,15 +105,14 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	eg.vf.OnInterrupt(func(frames [][]byte) { h.hostReceive(eg, frames) })
 
 	if blk != nil {
-		eg.blkQ = newBlkQueue()
+		eg.blkQ = newBlkQueue(eg.netQ.pool)
 		eg.blkDone = make(map[uint16]func([]byte, error))
 		// Guest-side per-op CPU: stack + exitless completion.
 		eg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
 		eg.g.blkWrite = func(sector uint64, data []byte, done func(error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-			req = append(req, data...)
+			req := encodeBlkReq(eg.blkQ.pool, virtio.BlkOut, sector, data)
 			h.guestBlkSubmit(eg, req, 1, func(resp []byte, err error) {
 				if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 					err = blockdev.ErrDeviceFailed
@@ -124,10 +121,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 			})
 		}
 		eg.g.blkRead = func(sector uint64, sectors int, done func([]byte, error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-			var n [4]byte
-			binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-			req = append(req, n[:]...)
+			req := encodeBlkRead(eg.blkQ.pool, sector, sectors)
 			h.guestBlkSubmit(eg, req, 1+sectors*h.p.SectorSize, func(resp []byte, err error) {
 				if err != nil {
 					done(nil, err)
@@ -144,6 +138,8 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	return eg.g
 }
 
+// guestBlkSubmit posts req, a slab from encodeBlkReq that it takes over,
+// once the guest stack has run.
 func (h *ElvisHost) guestBlkSubmit(eg *elvisGuest, req []byte, respCap int, done func([]byte, error)) {
 	eg.g.VM.Compute(h.p.GuestNetStackCost, func() {
 		head, ok := eg.blkQ.guestSubmit(req, respCap)
@@ -267,26 +263,19 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 	sc.Exec(cpu.NoOwner, cpu.KindBusy, h.p.SidecoreServiceCost+h.p.BlockServiceCost, func() {
 		bh, body, err := virtio.DecodeBlkHdr(c.Out)
 		if err != nil {
-			h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
+			h.completeBlk(eg, c, respBlkIOErr)
 			return
-		}
-		respond := func(r blockdev.Response, data []byte) {
-			status := []byte{virtio.BlkOK}
-			if r.Err != nil {
-				status[0] = virtio.BlkIOErr
-			}
-			h.completeBlk(eg, c, append(status, data...))
 		}
 		switch bh.Type {
 		case virtio.BlkOut:
 			payload, icost, perr := eg.chain.Process(interpose.ToDevice, uint16(eg.id), body)
 			if perr != nil {
-				h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
+				h.completeBlk(eg, c, respBlkIOErr)
 				return
 			}
 			doSubmit := func() {
 				eg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: payload},
-					func(r blockdev.Response) { respond(r, nil) })
+					func(r blockdev.Response) { h.completeBlk(eg, c, blkStatus(r.Err)) })
 			}
 			if icost > 0 {
 				sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, doSubmit)
@@ -294,30 +283,48 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 				doSubmit()
 			}
 		case virtio.BlkIn:
-			n := int(binary.LittleEndian.Uint32(body))
-			eg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
+			n, ok := readSectors(&c, body, h.p.SectorSize)
+			if !ok {
+				h.completeBlk(eg, c, respBlkIOErr)
+				return
+			}
+			// The backend reads straight into the completion slab, behind
+			// the status byte; every path below returns the slab.
+			pool := eg.blkQ.pool
+			out := pool.GetRaw(1 + n*h.p.SectorSize)
+			eg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n, Data: out[1:]},
 				func(r blockdev.Response) {
 					if r.Err != nil {
-						respond(r, nil)
+						pool.PutRaw(out)
+						h.completeBlk(eg, c, respBlkIOErr)
 						return
 					}
 					data, icost, perr := eg.chain.Process(interpose.ToGuest, uint16(eg.id), r.Data)
 					if perr != nil {
-						h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
+						pool.PutRaw(out)
+						h.completeBlk(eg, c, respBlkIOErr)
 						return
 					}
+					finish := func() {
+						out = pool.Place(out, 1, data)
+						out[0] = virtio.BlkOK
+						h.completeBlk(eg, c, out)
+						pool.PutRaw(out)
+					}
 					if icost > 0 {
-						sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, func() { respond(r, data) })
+						sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, finish)
 					} else {
-						respond(r, data)
+						finish()
 					}
 				})
 		default:
-			h.completeBlk(eg, c, []byte{virtio.BlkUnsupp})
+			h.completeBlk(eg, c, respBlkUnsupp)
 		}
 	})
 }
 
+// completeBlk pushes resp as the chain's completion — the ring copies it,
+// so the caller keeps resp — and notifies the guest exitless.
 func (h *ElvisHost) completeBlk(eg *elvisGuest, c virtio.Chain, resp []byte) {
 	eg.blkQ.hostComplete(c, resp)
 	eg.g.VM.GuestIRQExitless(func() {

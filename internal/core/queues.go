@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
 	"vrio/internal/interpose"
@@ -177,27 +179,83 @@ func (q *netQueues) txPending() bool { return q.tx.HasAvail() }
 // blkQueue is the shared-memory state of one paravirtual block device: a
 // single virtqueue whose chains carry a virtio-blk header plus data out,
 // and reserve in-space for status (+ read data).
+//
+// Block payloads on either side of the ring live in slabs of the host
+// NIC's pool (DESIGN §10): the guest's encoded request until the ring has
+// copied it, and each read's status+data completion — which the backend
+// fills in place — until the ring has copied that back.
 type blkQueue struct {
 	ring *virtio.Ring
+	pool *bufpool.Pool
 	// reap is the reusable completion batch for guestReap.
 	reap virtio.ReapBatch
 }
 
-func newBlkQueue() *blkQueue {
+func newBlkQueue(pool *bufpool.Pool) *blkQueue {
 	// Block chains move 4 KiB payloads: 2 KiB segments chain fine, but a
 	// larger ring keeps many requests in flight.
 	ring, err := virtio.NewRing(queueSize, segmentSize)
 	if err != nil {
 		panic(err)
 	}
-	return &blkQueue{ring: ring}
+	return &blkQueue{ring: ring, pool: pool}
 }
 
-// guestSubmit posts one block request; respCap reserves room for the
-// response (1 status byte, plus data for reads). It reports ring-full.
+// Status-only block completions. Ring.Push copies a completion, so these
+// shared bytes are only ever read.
+var (
+	respBlkOK     = []byte{virtio.BlkOK}
+	respBlkIOErr  = []byte{virtio.BlkIOErr}
+	respBlkUnsupp = []byte{virtio.BlkUnsupp}
+)
+
+// blkStatus is the status-only completion for a backend result.
+func blkStatus(err error) []byte {
+	if err != nil {
+		return respBlkIOErr
+	}
+	return respBlkOK
+}
+
+// encodeBlkReq encodes a virtio-blk request — header, then body (write
+// data, or a read's 4-byte sector count) — into a slab from pool, which the
+// caller owns.
+func encodeBlkReq(pool *bufpool.Pool, typ uint32, sector uint64, body []byte) []byte {
+	req := pool.GetRaw(virtio.BlkHdrSize + len(body))
+	virtio.BlkHdr{Type: typ, Sector: sector}.Encode(req[:0])
+	copy(req[virtio.BlkHdrSize:], body)
+	return req
+}
+
+// encodeBlkRead encodes a read request with encodeBlkReq. Its body is the
+// sector count, 4 bytes little-endian.
+func encodeBlkRead(pool *bufpool.Pool, sector uint64, sectors int) []byte {
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(sectors))
+	return encodeBlkReq(pool, virtio.BlkIn, sector, n[:])
+}
+
+// guestSubmit posts one block request from encodeBlkReq; respCap
+// reserves room for the response (1 status byte, plus data for reads). The
+// ring copies req, so its slab goes back to the pool either way. It reports
+// ring-full.
 func (q *blkQueue) guestSubmit(req []byte, respCap int) (uint16, bool) {
 	head, err := q.ring.Add(req, respCap)
+	q.pool.PutRaw(req)
 	return head, err == nil
+}
+
+// readSectors parses a read chain's sector count and checks that the data
+// fits the chain's writable space behind the status byte. ok is false for a
+// body too short to hold the count or a count the chain cannot carry: a
+// corrupt guest chain, which the host answers with BlkIOErr before it takes
+// a buffer for the read.
+func readSectors(c *virtio.Chain, body []byte, sectorSize int) (n int, ok bool) {
+	if len(body) < 4 {
+		return 0, false
+	}
+	n = int(binary.LittleEndian.Uint32(body))
+	return n, n <= (c.InCapacity()-1)/sectorSize
 }
 
 // hostPop takes the next request (host side). It deliberately uses the

@@ -600,10 +600,12 @@ func (r *VolumeRouter) startRebuild(job rebuildJob) {
 		// might not hold (e.g. assuming committed) would un-fence writes
 		// the target never saw.
 		vsrc := binary.LittleEndian.Uint64(resp[1:])
-		data := append([]byte(nil), resp[1+virtio.VolReadVerSize:]...) // resp is borrowed
-		wreq := virtio.BlkHdr{Type: virtio.BlkVolOut, Sector: sector}.Encode(nil)
+		data := resp[1+virtio.VolReadVerSize:] // borrowed: copied once, into wreq
+		wreq := make([]byte, 0, virtio.BlkHdrSize+virtio.VolHdrSize+len(data))
+		wreq = virtio.BlkHdr{Type: virtio.BlkVolOut, Sector: sector}.Encode(wreq)
 		wreq = virtio.VolHdr{Extent: e, Version: vsrc}.Encode(wreq)
 		wreq = append(wreq, data...)
+		copied := uint64(len(data))
 		r.loads[target]++
 		r.drivers[target].SendBlkQ(uint8(virtio.DeviceBlk), r.deviceID, q, wreq, func(resp []byte, err error) {
 			r.loads[target]--
@@ -626,7 +628,7 @@ func (r *VolumeRouter) startRebuild(job rebuildJob) {
 				// fenced for anything newer, and the next gap nack (if any)
 				// queues a fresh heal.
 				r.healing[e] &^= 1 << uint(slot)
-				r.RebuildBytes += uint64(len(data))
+				r.RebuildBytes += copied
 				r.Counters.Inc("replica_heals", 1)
 				r.finishRebuild()
 				return
@@ -649,7 +651,7 @@ func (r *VolumeRouter) startRebuild(job rebuildJob) {
 			r.hostExtents[r.emap.Replica(e, slot)]--
 			r.hostExtents[target]++
 			r.emap.Retarget(e, slot, target)
-			r.RebuildBytes += uint64(len(data))
+			r.RebuildBytes += copied
 			r.Counters.Inc("rebuild_extents", 1)
 			r.finishRebuild()
 		})

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -198,11 +196,16 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 				h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
 		writeQ := func(queue uint8, sector uint64, data []byte, done func(error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-			req = append(req, data...)
+			// Header and payload go into one pooled slab now, so the caller
+			// may reuse data at once. The driver holds chunk views of the
+			// slab until the request completes (response or device error);
+			// then it goes back. Reads below do the same.
+			pool := c.Port.BufPool()
+			req := encodeBlkReq(pool, virtio.BlkOut, sector, data)
 			cost := h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, len(data))
 			c.Guest.VM.Compute(cost, func() {
 				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {
+					pool.PutRaw(req)
 					if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 						err = virtio.ErrBadChain
 					}
@@ -211,16 +214,15 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 			})
 		}
 		readQ := func(queue uint8, sector uint64, sectors int, done func([]byte, error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-			var n [4]byte
-			binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-			req = append(req, n[:]...)
+			pool := c.Port.BufPool()
+			req := encodeBlkRead(pool, sector, sectors)
 			// The response data pays decapsulation per byte, charged with
 			// the request for simplicity (same VCPU either way).
 			cost := h.p.GuestNetStackCost + h.p.EncapCost +
 				perByte(h.p.EncapPerByte, sectors*h.p.SectorSize)
 			c.Guest.VM.Compute(cost, func() {
 				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {
+					pool.PutRaw(req)
 					if err != nil {
 						done(nil, err)
 						return

@@ -78,6 +78,10 @@ type blkWriter struct {
 	// means every entry is 0 (in flight at stop) or 1.
 	counts []int
 	errs   uint64
+	// buf is the zero payload every write sends. No front-end mutates a
+	// write payload or holds it past the call, so one buffer serves all
+	// in-flight writes.
+	buf []byte
 }
 
 func (w *blkWriter) start() {
@@ -93,9 +97,11 @@ func (w *blkWriter) issue() {
 	id := len(w.counts)
 	w.counts = append(w.counts, 0)
 	g := w.tb.Guests[w.guest]
-	data := make([]byte, w.size)
+	if w.buf == nil {
+		w.buf = make([]byte, w.size)
+	}
 	sector := uint64((id * 17) % 1024)
-	g.WriteBlock(sector, data, func(err error) {
+	g.WriteBlock(sector, w.buf, func(err error) {
 		w.counts[id]++
 		if err != nil {
 			w.errs++

@@ -60,6 +60,9 @@ type volWriter struct {
 	issueAt []sim.Time
 	hist    *stats.Histogram
 	errs    uint64
+	// buf is the zero payload every write sends; Write copies it into the
+	// request, so one buffer serves all in-flight writes.
+	buf []byte
 }
 
 func (w *volWriter) start() {
@@ -75,11 +78,13 @@ func (w *volWriter) issue() {
 	id := len(w.counts)
 	w.counts = append(w.counts, 0)
 	w.issueAt = append(w.issueAt, w.eng.Now())
-	data := make([]byte, w.size)
+	if w.buf == nil {
+		w.buf = make([]byte, w.size)
+	}
 	sectors := uint64(w.size) / 512
 	cap := w.vol.Spec().CapacitySectors
 	sector := (uint64(id) * 17 % (cap / sectors)) * sectors
-	w.vol.Write(sector, data, func(err error) {
+	w.vol.Write(sector, w.buf, func(err error) {
 		w.counts[id]++
 		if err != nil {
 			w.errs++

@@ -165,7 +165,8 @@ type IOHypervisor struct {
 	stallUntil sim.Time
 
 	// Counters: "msgs", "net_fwd_local", "net_fwd_uplink", "net_in",
-	// "blk_reqs", "iohost_irqs", "interpose_drops", "copy_bytes".
+	// "blk_reqs", "iohost_irqs", "interpose_drops", "copy_bytes",
+	// "oversize_reads".
 	Counters stats.Counters
 
 	// Tracer records iohyp_worker and blockdev spans, picking up the flow
@@ -1138,39 +1139,43 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		// count (the front-end convention; see the core package).
 		n := 0
 		if len(body) >= 4 {
-			n = int(uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24)
+			n = int(binary.LittleEndian.Uint32(body))
 		}
 		// The body is fully consumed (bh.Sector and n are values now); the
 		// lease can go back to the pool before the backend runs.
 		req.Release()
-		if n <= 0 {
+		if n <= 0 || !h.readFits(1, n) {
 			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
 			return
 		}
 		bd := h.Tracer.BeginArg(trace.CatBlockdev, "read", root, hdr.OrigID)
 		dev.track(q, hdr.OrigID)
 		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, h.p.BlockServiceCost, func() {
-			dev.backend.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n}, func(resp blockdev.Response) {
+			// The backend reads straight into the response slab, behind the
+			// status byte; every path below returns the slab.
+			out := h.bufPool().GetRaw(1 + n*h.p.SectorSize)
+			dev.backend.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n, Data: out[1:]}, func(resp blockdev.Response) {
 				dev.untrack(q, hdr.OrigID)
 				h.Tracer.End(bd)
 				if resp.Err != nil {
+					h.bufPool().PutRaw(out)
 					h.respondBlk(src, hdr, respBlkIOErr)
 					return
 				}
 				// §4.4: reads cannot zero-copy at the IOhost.
 				data, icost, err := dev.chain.Process(interpose.ToGuest, hdr.DeviceID, resp.Data)
 				if err != nil {
+					h.bufPool().PutRaw(out)
 					h.respondBlk(src, hdr, respBlkIOErr)
 					return
 				}
 				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
 				h.Counters.Inc("copy_bytes", uint64(len(data)))
 				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					// RespondBlk borrows the response, so the status+data
-					// buffer is pooled and returned right after the call.
-					out := h.bufPool().GetRaw(1 + len(data))
+					// RespondBlk borrows the response, so the slab goes
+					// back right after the call.
+					out = h.bufPool().Place(out, 1, data)
 					out[0] = virtio.BlkOK
-					copy(out[1:], data)
 					h.respondBlk(src, hdr, out)
 					h.bufPool().PutRaw(out)
 				})
@@ -1227,7 +1232,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		vh, volBody, err := virtio.DecodeVolHdr(body)
 		n := 0
 		if err == nil && len(volBody) >= 4 {
-			n = int(uint32(volBody[0]) | uint32(volBody[1])<<8 | uint32(volBody[2])<<16 | uint32(volBody[3])<<24)
+			n = int(binary.LittleEndian.Uint32(volBody))
 		}
 		req.Release() // header and count are values now
 		if err != nil || n <= 0 {
@@ -1235,34 +1240,41 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
 			return
 		}
+		// Successful vol-reads answer [BlkOK][version:8][data]: the serving
+		// replica's extent version lets rebuild and heal copies stamp their
+		// target honestly.
+		const volHdr = 1 + virtio.VolReadVerSize
+		if !h.readFits(volHdr, n) {
+			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
+			return
+		}
 		bd := h.Tracer.BeginArg(trace.CatBlockdev, "vol-read", root, hdr.OrigID)
 		dev.track(q, hdr.OrigID)
 		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, h.p.BlockServiceCost, func() {
+			out := h.bufPool().GetRaw(volHdr + n*h.p.SectorSize)
 			dev.backend.Submit(blockdev.Request{
-				Op: blockdev.OpVolRead, Sector: bh.Sector, Sectors: n,
+				Op: blockdev.OpVolRead, Sector: bh.Sector, Sectors: n, Data: out[volHdr:],
 				Extent: vh.Extent, Version: vh.Version,
 			}, func(resp blockdev.Response) {
 				dev.untrack(q, hdr.OrigID)
 				h.Tracer.End(bd)
 				if resp.Err != nil {
+					h.bufPool().PutRaw(out)
 					h.respondBlk(src, hdr, volStatusResp(resp.Err))
 					return
 				}
 				data, icost, err := dev.chain.Process(interpose.ToGuest, hdr.DeviceID, resp.Data)
 				if err != nil {
+					h.bufPool().PutRaw(out)
 					h.respondBlk(src, hdr, respBlkIOErr)
 					return
 				}
 				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
 				h.Counters.Inc("copy_bytes", uint64(len(data)))
 				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					// Successful vol-reads answer [BlkOK][version:8][data]:
-					// the serving replica's extent version lets rebuild and
-					// heal copies stamp their target honestly.
-					out := h.bufPool().GetRaw(1 + virtio.VolReadVerSize + len(data))
+					out = h.bufPool().Place(out, volHdr, data)
 					out[0] = virtio.BlkOK
 					binary.LittleEndian.PutUint64(out[1:], resp.Version)
-					copy(out[1+virtio.VolReadVerSize:], data)
 					h.respondBlk(src, hdr, out)
 					h.bufPool().PutRaw(out)
 				})
@@ -1283,6 +1295,19 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		h.endpoint.RespondBlk(src, hdr, respBlkUnsupp)
 		req.Release()
 	}
+}
+
+// readFits reports whether a read of n sectors answered behind an hdr-byte
+// header fits in one transport message the client can reassemble, counting
+// "oversize_reads" when it does not. n comes off the wire: checking it
+// before the response slab is allocated keeps a hostile or corrupt count
+// from costing more than the refusal.
+func (h *IOHypervisor) readFits(hdr, n int) bool {
+	if n <= (h.endpoint.MaxReassembly()-hdr)/h.p.SectorSize {
+		return true
+	}
+	h.Counters.Inc("oversize_reads", 1)
+	return false
 }
 
 func (h *IOHypervisor) respondBlk(src ethernet.MAC, hdr transport.Header, resp []byte) {

@@ -3,6 +3,7 @@ package iohyp
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"vrio/internal/blockdev"
@@ -598,5 +599,64 @@ func TestMultiQueuePerQueueFIFO(t *testing.T) {
 			t.Errorf("queue %d final sector value = %d, want %d (per-queue order violated)",
 				q, got[0], perQueue)
 		}
+	}
+}
+
+// A read's sector count comes off the wire. One naming more than the client
+// driver can reassemble (64 MiB here, against the transport's 16 MiB) must
+// be refused with BlkIOErr before the IOhost allocates its response: no
+// backend execution, no retransmission, and next to no memory. Unbounded,
+// the IOhost allocated the whole read on every one of the driver's attempts
+// and the request still ended in a device error.
+func TestOversizeReadRefusedBeforeAllocating(t *testing.T) {
+	const sectors = 64 << 20 / 512
+	for _, tc := range []struct {
+		name string
+		req  func() []byte
+	}{
+		{"read", func() []byte {
+			return virtio.BlkHdr{Type: virtio.BlkIn}.Encode(nil)
+		}},
+		{"vol-read", func() []byte {
+			req := virtio.BlkHdr{Type: virtio.BlkVolIn}.Encode(nil)
+			return virtio.VolHdr{Extent: 0, Version: 0}.Encode(req)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, ModePolling)
+			store := blockdev.NewStore(r.p.SectorSize, 1<<21) // 1 GiB
+			dev := blockdev.NewDevice(r.eng, store, r.p.RamdiskLatency, 1)
+			r.hyp.RegisterVolReplica(r.clientMAC, 1, dev, nil, 1)
+			req := binary.LittleEndian.AppendUint32(tc.req(), sectors)
+
+			var status byte = 0xFF
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
+				if err != nil || len(resp) != 1 {
+					t.Errorf("resp=%d bytes err=%v, want a lone status byte", len(resp), err)
+					return
+				}
+				status = resp[0]
+			})
+			r.eng.Run()
+			runtime.ReadMemStats(&after)
+
+			if status != virtio.BlkIOErr {
+				t.Errorf("status = %d, want BlkIOErr", status)
+			}
+			if n := r.driver.Counters.Get("retransmits"); n != 0 {
+				t.Errorf("%d retransmits, want 0", n)
+			}
+			if dev.Served != 0 {
+				t.Errorf("backend served %d requests, want 0", dev.Served)
+			}
+			if n := r.hyp.Counters.Get("oversize_reads"); n != 1 {
+				t.Errorf("oversize_reads = %d, want 1", n)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("refusing the read allocated %d bytes, want under 1 MiB", alloc)
+			}
+		})
 	}
 }

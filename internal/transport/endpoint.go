@@ -230,6 +230,11 @@ func (e *Endpoint) deliverBlkReq(src ethernet.MAC, h Header, payload, body []byt
 // PendingRequests reports block requests still being reassembled.
 func (e *Endpoint) PendingRequests() int { return len(e.reqAsm) }
 
+// MaxReassembly reports the largest message the transport reassembles
+// (Config.MaxReassembly after defaults): a block response longer than this
+// can never reach the client driver.
+func (e *Endpoint) MaxReassembly() int { return e.cfg.MaxReassembly }
+
 func (e *Endpoint) evictOldestAsm() {
 	var oldestKey endpointKey
 	var oldest *chunkAsm

@@ -41,6 +41,11 @@ var (
 // reaps completions with Reap; the device side (host/sidecore/IOhost) polls
 // with Pop and completes with Push. A Ring is not safe for concurrent use;
 // the simulation is single-threaded by design.
+//
+// Descriptor i owns payload slot i, which is backed on first touch: a ring
+// that only ever cycles a few descriptors (the free list is LIFO) never
+// pays for the rest, and an untouched slot reads as zeros exactly as a
+// zeroed slab would.
 type Ring struct {
 	qsize   int
 	segSize int
@@ -49,7 +54,9 @@ type Ring struct {
 	desc  []byte // descriptor table: qsize * descSize
 	avail []byte // avail ring: hdr + qsize * 2
 	used  []byte // used ring: hdr + qsize * usedElemSize
-	buf   []byte // payload slab: qsize * segSize (descriptor i owns slot i)
+	// segs are the payload slots, segSize bytes each (descriptor i owns
+	// segs[i]); nil until slot(i) first touches one.
+	segs [][]byte
 
 	// Driver-private state.
 	freeHead    uint16
@@ -110,7 +117,7 @@ func NewRing(qsize, segSize int) (*Ring, error) {
 		desc:    make([]byte, qsize*descSize),
 		avail:   make([]byte, ringHdrSize+qsize*2),
 		used:    make([]byte, ringHdrSize+qsize*usedElemSize),
-		buf:     make([]byte, qsize*segSize),
+		segs:    make([][]byte, qsize),
 		numFree: qsize,
 		pending: make(map[uint16]*token),
 	}
@@ -181,8 +188,10 @@ func (r *Ring) setUsedEntry(slot uint16, id, length uint32) {
 }
 
 func (r *Ring) slot(i uint16) []byte {
-	off := int(i) * r.segSize
-	return r.buf[off : off+r.segSize]
+	if r.segs[i] == nil {
+		r.segs[i] = make([]byte, r.segSize)
+	}
+	return r.segs[i]
 }
 
 // --- driver (guest) side ---

@@ -34,6 +34,43 @@ func TestNewRingValidation(t *testing.T) {
 	}
 }
 
+// Payload slots are backed on first touch: a ring cycling one 4-descriptor
+// request backs those 4 slots and no others, and every round trip still
+// carries its bytes.
+func TestRingBacksSlotsOnFirstTouch(t *testing.T) {
+	r := mustRing(t, 256, 2048)
+	backed := func() int {
+		n := 0
+		for _, s := range r.segs {
+			if s != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := backed(); n != 0 {
+		t.Fatalf("a fresh ring backs %d slots", n)
+	}
+	var c Chain
+	var batch ReapBatch
+	for i := 0; i < 100; i++ {
+		out := bytes.Repeat([]byte{byte(i)}, 3000)
+		if _, err := r.Add(out, 3000); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := r.PopInto(&c); !ok || err != nil || !bytes.Equal(c.Out, out) {
+			t.Fatalf("round %d: pop ok=%v err=%v", i, ok, err)
+		}
+		r.Push(c, out)
+		if r.ReapInto(&batch, 0) != 1 || !bytes.Equal(batch.Completions[0].In, out) {
+			t.Fatalf("round %d: response lost", i)
+		}
+	}
+	if n := backed(); n != 4 {
+		t.Errorf("backed %d slots, want the 4 the request cycles", n)
+	}
+}
+
 func TestRingEchoSingleSegment(t *testing.T) {
 	r := mustRing(t, 16, 256)
 	msg := []byte("hello from the guest")
