@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet bench-stream bench-blk race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
+.PHONY: build fmt test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol bench-ethernet bench-stream bench-blk race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke fuzz-netwire examples benchjson memprofile check
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,16 @@ race-trace:
 # roundtrip over real loopback UDP sockets (both must stay 0 allocs/op).
 bench-realwire:
 	$(GO) test -run TestSealDecodeNoAlloc -bench . -benchmem ./internal/netwire/
+
+# Fuzz the real-wire preamble unseal for 10 s: DecodeFrame never panics on
+# arbitrary bytes, and a frame it accepts has a known kind, a payload that
+# aliases the input, and re-seals to the same bytes.
+fuzz-netwire:
+	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/netwire/
+
+# Build and run every examples/* program; any non-zero exit fails.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
 
 # Two-process loopback smoke test for the real-wire carrier: vrio-loadgen
 # server+driver over 127.0.0.1, once over UDP with injected loss (retransmit
@@ -149,4 +159,4 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build fmt vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet bench-blk doccheck loadgen-smoke
+check: build fmt vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol bench-ethernet bench-blk fuzz-netwire doccheck loadgen-smoke examples

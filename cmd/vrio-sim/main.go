@@ -229,7 +229,7 @@ func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int,
 	var ru *rack.Rollup
 	var dc *rack.Datacenter
 	if observe {
-		if f.Racks[0].IOHyp == nil {
+		if len(f.Racks[0].IOHyps) == 0 {
 			return fmt.Errorf("fabric observability (-trace/-metrics-interval) requires a vrio model")
 		}
 		dc = rack.NewDatacenter(f, rack.Config{})

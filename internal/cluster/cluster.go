@@ -104,18 +104,11 @@ type Spec struct {
 	// testbed's engine and threads it through the transport drivers and the
 	// I/O hypervisor. Off (the default) costs the datapath nothing.
 	Trace bool
-	// SecondaryIOhost cables every VMhost to a fallback IOhost as well
-	// (§4.6 "Fault Tolerance": "connecting VMhosts to a secondary fallback
-	// IOhost ... requires additional cables and matching ports"). The
-	// fallback mirrors all device registrations and shares the block
-	// backends (distributed-storage assumption); FailOverIOhost switches
-	// the clients onto it.
-	SecondaryIOhost bool
 	// NumIOhosts builds a rack with N active IOhosts (vRIO models only;
 	// default 1). Every VMhost is cabled — VF plus MessagePort — to every
 	// IOhost, and Placement decides which IOhost serves each guest's
-	// devices. Mutually exclusive with SecondaryIOhost, which instead adds
-	// one cold-standby mirror of a single active IOhost.
+	// devices. The survivors are the §4.6 fallback: RehomeClient (or the
+	// rack controller's heartbeat) moves a dead IOhost's guests onto them.
 	NumIOhosts int
 	// Placement maps guest vm (GLOBAL index, host-major — unlike
 	// NetChain/BlkChain, whose vm is per-host) on VMhost host to the IOhost
@@ -131,14 +124,6 @@ type Spec struct {
 	// so the same workload can replay under different fault draws. Zero
 	// derives it from Seed.
 	FaultSeed uint64
-	// Carrier selects what carries §4.2 transport messages in this testbed:
-	// CarrierSim (the default) cables the rack with simulated link.Wires on
-	// the build engine. CarrierUDP/CarrierTCP name the real-socket carriers
-	// of internal/netwire; those run one process per side of the wire, so a
-	// single-process Build cannot assemble them — Build rejects them with a
-	// pointer at cmd/vrio-loadgen, which is the process pair that does.
-	// Anything else is a typo and also rejected.
-	Carrier string
 	// MACOffset shifts every MAC this testbed mints (guests, transports,
 	// stations, IOhosts) by a constant, so several racks built into one
 	// fabric own disjoint address blocks. The fabric builder gives rack r
@@ -149,16 +134,6 @@ type Spec struct {
 	Params *params.P
 	Seed   uint64
 }
-
-// Carrier names for Spec.Carrier.
-const (
-	// CarrierSim is the simulated-cable carrier (link.Wire); the default.
-	CarrierSim = "sim"
-	// CarrierUDP and CarrierTCP are the real-socket carriers implemented by
-	// internal/netwire and assembled by the cmd/vrio-loadgen process pair.
-	CarrierUDP = "udp"
-	CarrierTCP = "tcp"
-)
 
 // Testbed is an assembled rack.
 type Testbed struct {
@@ -180,11 +155,8 @@ type Testbed struct {
 	IOCores   []*cpu.Core
 	GenCores  []*cpu.Core
 
-	// IOHyp is non-nil for the vRIO models: the first (or only) IOhost.
-	IOHyp *iohyp.IOHypervisor
-	// IOHyps lists every active IOhost's hypervisor (IOHyps[0] == IOHyp).
-	// The legacy SecondaryIOhost mirror is NOT in this list — it serves no
-	// devices until FailOverIOhost.
+	// IOHyps lists every IOhost's hypervisor (vRIO models only; empty
+	// otherwise). IOHyps[0] is the paper's rack IOhost.
 	IOHyps []*iohyp.IOHypervisor
 	// SidecoresByIOhost groups Sidecores per active IOhost (vRIO models).
 	SidecoresByIOhost [][]*cpu.Core
@@ -209,9 +181,6 @@ type Testbed struct {
 	// VolReplicaDevices[vm][io] is the replica device backing guest vm's
 	// volume on IOhost io (test verification reads its Store and Replica).
 	VolReplicaDevices [][]*blockdev.Device
-
-	// SecondaryIOHyp is the fallback I/O hypervisor (when configured).
-	SecondaryIOHyp *iohyp.IOHypervisor
 
 	// Fault is the instantiated fault plan (inert when Spec.Fault is nil).
 	// Its counters and wire tallies are registered as "fault" metrics.
@@ -238,9 +207,7 @@ type Testbed struct {
 	// channels[i][h] is VMhost h's cable into IOhost i, for live migration
 	// and re-homing.
 	channels [][]vrioChannel
-	// secondaryChannels mirrors channels[0] toward the legacy fallback.
-	secondaryChannels []vrioChannel
-	nextTMAC          uint32
+	nextTMAC uint32
 }
 
 // vrioChannel is one VMhost's cable into one IOhost.
@@ -277,9 +244,6 @@ func (s *Spec) defaults() {
 	if s.NumIOhosts == 0 {
 		s.NumIOhosts = 1
 	}
-	if s.Carrier == "" {
-		s.Carrier = CarrierSim
-	}
 	if s.VolReplicas > 0 {
 		if s.VolQuorum == 0 {
 			s.VolQuorum = s.VolReplicas // write-all
@@ -315,18 +279,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	if spec.BlockLatency == 0 {
 		spec.BlockLatency = p.RamdiskLatency
 	}
-	switch spec.Carrier {
-	case "", CarrierSim:
-		// Simulated cables, built below.
-	case CarrierUDP, CarrierTCP:
-		panic(fmt.Sprintf("cluster: the %q carrier is a real-socket transport spanning two processes; run cmd/vrio-loadgen -serve/-drive instead of a single-process Build", spec.Carrier))
-	default:
-		panic(fmt.Sprintf("cluster: unknown carrier %q (want %q, %q, or %q)", spec.Carrier, CarrierSim, CarrierUDP, CarrierTCP))
-	}
 	isVRIO := spec.Model == core.ModelVRIO || spec.Model == core.ModelVRIONoPoll
-	if spec.NumIOhosts > 1 && spec.SecondaryIOhost {
-		panic("cluster: NumIOhosts > 1 and SecondaryIOhost are mutually exclusive — with multiple active IOhosts the survivors are the fallback")
-	}
 	if (spec.NumIOhosts > 1 || spec.Placement != nil) && !isVRIO {
 		panic(fmt.Sprintf("cluster: NumIOhosts/Placement require a vRIO model, got %q", spec.Model))
 	}
@@ -491,8 +444,7 @@ func (tb *Testbed) buildLocal(nicCfg nic.Config, mkHost func(hostIdx int, hostNI
 }
 
 // iohostName numbers IOhosts the way the testbed always has: the first is
-// plain "iohost", extras are "iohost2", "iohost3", ... — slot 1 matches the
-// legacy secondary's naming and MAC plan.
+// plain "iohost", extras are "iohost2", "iohost3", ...
 func iohostName(i int) string {
 	if i == 0 {
 		return "iohost"
@@ -502,7 +454,7 @@ func iohostName(i int) string {
 
 // newIOHyp builds IOhost i's sidecores and I/O hypervisor, appending to
 // Sidecores/SidecoresByIOhost/IOHyps.
-func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) *iohyp.IOHypervisor {
+func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) {
 	p := tb.P
 	var sides []*cpu.Core
 	for s := 0; s < tb.Spec.IOhostSidecores; s++ {
@@ -512,8 +464,7 @@ func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) *iohyp.IOHypervisor {
 	}
 	seed := tb.Spec.Seed
 	if i > 0 {
-		// Slot 1 keeps the legacy fallback's seed derivation; further slots
-		// decorrelate by index.
+		// Each extra IOhost decorrelates its worker RNG by index.
 		seed = tb.Spec.Seed ^ 0xfa11 ^ uint64(i-1)<<20
 	}
 	h := iohyp.New(tb.Eng, iohyp.Config{
@@ -522,7 +473,6 @@ func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) *iohyp.IOHypervisor {
 	})
 	tb.SidecoresByIOhost = append(tb.SidecoresByIOhost, sides)
 	tb.IOHyps = append(tb.IOHyps, h)
-	return h
 }
 
 // attachIOhostUplink cables IOhost i to the rack switch (40G, promiscuous
@@ -575,32 +525,9 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 	if spec.Model == core.ModelVRIONoPoll {
 		mode = iohyp.ModeInterrupt
 	}
-	// IOhost 0 — the paper's rack IOhost.
-	tb.IOHyp = tb.newIOHyp(0, mode)
-	if spec.SecondaryIOhost {
-		var sides2 []*cpu.Core
-		for s := 0; s < spec.IOhostSidecores; s++ {
-			sc := cpu.New(tb.Eng, fmt.Sprintf("iohost2-side%d", s), p.ContextSwitchCost)
-			sides2 = append(sides2, sc)
-		}
-		tb.SecondaryIOHyp = iohyp.New(tb.Eng, iohyp.Config{
-			Params: p, Mode: mode, Sidecores: sides2, Seed: spec.Seed ^ 0xfa11,
-			Tracer: tb.Tracer,
-		})
-		up2 := link.NewDuplex(tb.Eng, p.LinkBandwidth40G, p.WireLatency)
-		tb.Switch.AttachPort(up2)
-		up2NIC := tb.newNIC("iohost2-uplink", nicCfg, up2.AtoB)
-		up2.BtoA.SetReceiver(up2NIC)
-		up2VF := up2NIC.AddVF(tb.mac(macIOHostBase+100), nic.ModePoll)
-		up2NIC.Promiscuous = up2VF
-		tb.SecondaryIOHyp.AttachUplink(up2VF)
-	}
-
-	// IOhost uplinks to the switch, then the extra IOhosts (2..N) with
-	// theirs. For NumIOhosts: 1 this reduces exactly to the original
-	// single-IOhost build order.
-	tb.attachIOhostUplink(0, nicCfg)
-	for i := 1; i < numIO; i++ {
+	// IOhost 0 — the paper's rack IOhost — then the extra IOhosts (2..N),
+	// each with its uplink to the switch.
+	for i := 0; i < numIO; i++ {
 		tb.newIOHyp(i, mode)
 		tb.attachIOhostUplink(i, nicCfg)
 	}
@@ -608,21 +535,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 	vmID := 0
 	for hostIdx := 0; hostIdx < spec.VMHosts; hostIdx++ {
 		// Dedicated channels: VMhost <-> each IOhost, 40G direct cables.
-		tb.cableChannel(0, hostIdx, nicCfg)
-		if spec.SecondaryIOhost {
-			// A second cable from this VMhost to the fallback IOhost.
-			ch2 := link.NewDuplex(tb.Eng, p.LinkBandwidth40G, p.WireLatency)
-			vmhost2NIC := tb.newNIC(fmt.Sprintf("vmhost%d-ch2", hostIdx), nicCfg, ch2.AtoB)
-			iohost2NIC := tb.newNIC(fmt.Sprintf("iohost2-ch%d", hostIdx), nicCfg, ch2.BtoA)
-			ch2.AtoB.SetReceiver(iohost2NIC)
-			ch2.BtoA.SetReceiver(vmhost2NIC)
-			io2VF := iohost2NIC.AddVF(tb.mac(macIOHostBase+101+uint32(hostIdx)), nic.ModePoll)
-			port2 := tb.SecondaryIOHyp.AttachChannelNIC(io2VF)
-			tb.secondaryChannels = append(tb.secondaryChannels, vrioChannel{
-				vmhostNIC: vmhost2NIC, iohostMAC: io2VF.MAC(), port: port2,
-			})
-		}
-		for i := 1; i < numIO; i++ {
+		for i := 0; i < numIO; i++ {
 			tb.cableChannel(i, hostIdx, nicCfg)
 		}
 
@@ -658,9 +571,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 				client.AttachChannel(vf, ch.iohostMAC)
 			}
 			// Port faults target the client's channel VF as it stands after
-			// placement. (The legacy SecondaryIOhost mirror cables are
-			// deliberately not faulted — they carry no traffic until
-			// FailOverIOhost.)
+			// placement.
 			tb.Fault.AttachVF(vmID, client.Port.VF())
 			hyp := tb.IOHyps[io]
 			hyp.BindClient(tMAC, tb.channels[io][hostIdx].port)
@@ -686,15 +597,6 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 					tb.BlockSchedulers = append(tb.BlockSchedulers, blkBackend.(*blockdev.Scheduler))
 				}
 				hyp.RegisterBlkDeviceMQ(tMAC, client.BlkDeviceID(), blkBackend, blkChain, spec.BlkQueues)
-			}
-			if spec.SecondaryIOhost {
-				// Mirror the registrations on the fallback: the F address
-				// and the (shared, distributed-storage) block backend.
-				tb.SecondaryIOHyp.BindClient(tMAC, tb.secondaryChannels[hostIdx].port)
-				tb.SecondaryIOHyp.RegisterNetDevice(tMAC, client.NetDeviceID(), fMAC, netChain)
-				if blkBackend != nil {
-					tb.SecondaryIOHyp.RegisterBlkDeviceMQ(tMAC, client.BlkDeviceID(), blkBackend, blkChain, spec.BlkQueues)
-				}
 			}
 			if spec.VolReplicas > 0 {
 				tb.buildGuestVolume(hostIdx, vmID)
@@ -857,7 +759,7 @@ func (tb *Testbed) attachJitter() {
 // move, so peers and storage are undisturbed. done (optional) runs when
 // the VM resumes on the destination.
 func (tb *Testbed) MigrateVM(vm, dstHost int, done func()) {
-	if tb.IOHyp == nil {
+	if len(tb.IOHyps) == 0 {
 		panic("cluster: MigrateVM requires a vRIO testbed")
 	}
 	if dstHost < 0 || dstHost >= len(tb.channels[0]) {
@@ -894,7 +796,7 @@ func (tb *Testbed) MigrateVM(vm, dstHost int, done func()) {
 // rack switch re-learns them. In-flight block requests ride across on §4.5
 // retransmission, since the block backends are shared (distributed storage).
 func (tb *Testbed) RehomeClient(vm, dst int) {
-	if tb.IOHyp == nil {
+	if len(tb.IOHyps) == 0 {
 		panic("cluster: RehomeClient requires a vRIO testbed")
 	}
 	if dst < 0 || dst >= len(tb.IOHyps) {
@@ -922,31 +824,6 @@ func (tb *Testbed) RehomeClient(vm, dst int) {
 	}
 	tb.ClientIOhost[vm] = dst
 	hyp.AnnounceAddresses()
-}
-
-// FailOverIOhost crashes the primary IOhost and re-attaches every IOclient
-// to the secondary fallback (§4.6 "Fault Tolerance"). Net traffic recovers
-// once the switch re-learns the F addresses from the fallback's uplink;
-// in-flight block requests ride across on §4.5 retransmission, since the
-// fallback shares the (distributed) block backends.
-func (tb *Testbed) FailOverIOhost() {
-	if tb.SecondaryIOHyp == nil {
-		panic("cluster: no secondary IOhost configured")
-	}
-	tb.IOHyp.Fail()
-	for i, client := range tb.VRIOClients {
-		host := tb.GuestHost[i]
-		ch := tb.secondaryChannels[host]
-		tb.nextTMAC++
-		// The client keeps its transport MAC: the fallback already has its
-		// registrations under that address; only the VF and cable change.
-		vf := ch.vmhostNIC.AddVF(client.TransportMAC(), nic.ModeInterrupt)
-		client.AttachChannel(vf, ch.iohostMAC)
-	}
-	// Gratuitous announcements: the switch must re-learn every F address
-	// on the fallback's uplink port, or traffic keeps flowing to the dead
-	// primary.
-	tb.SecondaryIOHyp.AnnounceAddresses()
 }
 
 // StationFor returns the load generator driving guest i: its own station

@@ -9,11 +9,13 @@ import (
 	"vrio/internal/workload"
 )
 
+// buildWithFallback builds two VMhosts cabled to two IOhosts, every guest
+// placed on IOhost 0: IOhost 1 is the §4.6 pre-cabled fallback.
 func buildWithFallback(t *testing.T) *Testbed {
 	t.Helper()
 	return Build(Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
-		WithBlock: true, SecondaryIOhost: true, NoJitter: true, Seed: 71,
+		WithBlock: true, NumIOhosts: 2, NoJitter: true, Seed: 71,
 	})
 }
 
@@ -28,7 +30,10 @@ func TestFailoverTrafficResumesOnSecondary(t *testing.T) {
 	var opsAtFailure uint64
 	tb.Eng.At(20*sim.Millisecond, func() {
 		opsAtFailure = rr.Results.Ops
-		tb.FailOverIOhost()
+		tb.IOHyps[0].Fail()
+		for vm := range tb.Guests {
+			tb.RehomeClient(vm, 1)
+		}
 	})
 	tb.Eng.RunUntil(150 * sim.Millisecond)
 
@@ -39,70 +44,22 @@ func TestFailoverTrafficResumesOnSecondary(t *testing.T) {
 		t.Errorf("traffic did not resume on the fallback IOhost: %d -> %d",
 			opsAtFailure, rr.Results.Ops)
 	}
-	if !tb.IOHyp.Failed() {
+	if !tb.IOHyps[0].Failed() {
 		t.Error("primary not marked failed")
 	}
-	if tb.SecondaryIOHyp.Counters.Get("msgs") == 0 {
+	if tb.IOHyps[1].Counters.Get("msgs") == 0 {
 		t.Error("fallback IOhost processed nothing")
 	}
 	// The crashed primary must process nothing after the failure.
-	if tb.IOHyp.Counters.Get("net_in") > opsAtFailure+5 {
+	if tb.IOHyps[0].Counters.Get("net_in") > opsAtFailure+5 {
 		t.Error("primary kept serving after Fail()")
 	}
 }
 
-func TestFailoverBlockRequestsSurvive(t *testing.T) {
-	tb := Build(Spec{
-		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
-		WithBlock: true, SecondaryIOhost: true, NoJitter: true, Seed: 71,
-		// A slow device so the crash lands while the request is in flight.
-		BlockLatency: 5 * sim.Millisecond,
-	})
-	g := tb.Guests[0]
-	payload := bytes.Repeat([]byte{0x3C}, 4096)
-	completed := false
-	var werr error
-	tb.Eng.At(1*sim.Millisecond, func() {
-		g.WriteBlock(40, payload, func(err error) {
-			completed = true
-			werr = err
-		})
-	})
-	// Crash the primary after the request reached it but before its 5 ms
-	// device access completes.
-	tb.Eng.At(2*sim.Millisecond, func() { tb.FailOverIOhost() })
-	tb.Eng.RunUntil(500 * sim.Millisecond)
-	if !completed {
-		t.Fatal("block write never completed across the failover")
-	}
-	if werr != nil {
-		t.Fatalf("block write failed: %v", werr)
-	}
-	got, err := tb.BlockDevices[0].Store().Read(40, 8)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Error("shared store missing the write served by the fallback")
-	}
-	if tb.VRIOClients[0].Driver.Counters.Get("retransmits") == 0 {
-		t.Error("failover recovery did not exercise retransmission")
-	}
-}
-
-func TestFailoverWithoutSecondaryPanics(t *testing.T) {
-	tb := Build(Spec{Model: core.ModelVRIO, VMsPerHost: 1, NoJitter: true, Seed: 72})
-	defer func() {
-		if recover() == nil {
-			t.Error("FailOverIOhost without a secondary did not panic")
-		}
-	}()
-	tb.FailOverIOhost()
-}
-
 func TestRehomeBlockRequestsSurvive(t *testing.T) {
-	// The multi-IOhost equivalent of TestFailoverBlockRequestsSurvive: two
-	// ACTIVE IOhosts, no standby mirror, and a manual RehomeClient while a
-	// write is in flight. The §4.5 retransmission machinery plus the
-	// destination's fresh registrations must deliver the completion exactly
-	// once.
+	// Two IOhosts and a manual RehomeClient while a write is in flight.
+	// The §4.5 retransmission machinery plus the destination's fresh
+	// registrations must deliver the completion exactly once.
 	tb := Build(Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 74,
@@ -122,7 +79,7 @@ func TestRehomeBlockRequestsSurvive(t *testing.T) {
 	// this; here the cluster-level path is under test) while the 5 ms device
 	// access is pending.
 	tb.Eng.At(2*sim.Millisecond, func() {
-		tb.IOHyp.Fail()
+		tb.IOHyps[0].Fail()
 		tb.RehomeClient(0, 1)
 		tb.RehomeClient(1, 1)
 	})
@@ -160,7 +117,7 @@ func TestNoFailoverBlockRequestsDie(t *testing.T) {
 	var werr error
 	completed := false
 	tb.Eng.At(1*sim.Millisecond, func() {
-		tb.IOHyp.Fail()
+		tb.IOHyps[0].Fail()
 		g.WriteBlock(8, make([]byte, 512), func(err error) {
 			completed = true
 			werr = err

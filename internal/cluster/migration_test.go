@@ -55,8 +55,8 @@ func TestMigrationTrafficContinuity(t *testing.T) {
 	if tb.GuestHost[0] != 1 {
 		t.Errorf("guest host index not updated: %d", tb.GuestHost[0])
 	}
-	if tb.IOHyp.Counters.Get("migrations") != 1 {
-		t.Errorf("migrations counter = %d", tb.IOHyp.Counters.Get("migrations"))
+	if tb.IOHyps[0].Counters.Get("migrations") != 1 {
+		t.Errorf("migrations counter = %d", tb.IOHyps[0].Counters.Get("migrations"))
 	}
 	// The RR loop is closed: the request in flight during the blackout was
 	// lost (net traffic is unreliable), so the generator must have been
@@ -155,7 +155,7 @@ func TestMigrationLandsOnRehomedIOhost(t *testing.T) {
 	})
 	// Mid-blackout, the control plane moves the (paused) guest's devices.
 	tb.Eng.At(1*sim.Millisecond+tb.P.MigrationDowntime/2, func() {
-		tb.IOHyp.Fail()
+		tb.IOHyps[0].Fail()
 		tb.RehomeClient(0, 1)
 	})
 	tb.Eng.RunUntil(200 * sim.Millisecond)

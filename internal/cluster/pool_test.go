@@ -92,8 +92,8 @@ func watchFree(t *testing.T, tb *Testbed, until sim.Time) {
 // each of which recycles what it gets; without a private copy per egress
 // port, one slab lands on the free list twice and two later sends share
 // it. The failover cell floods: each RR station addresses its guest before
-// the switch has learned it, and the fallback IOhost's takeover
-// announcements are broadcasts.
+// the switch has learned it, and the fallback IOhost's announcements after
+// each re-home are broadcasts.
 func TestPoolNeverHoldsASlabTwice(t *testing.T) {
 	t.Run("vrio-stream", func(t *testing.T) {
 		tb, st := streamCell(core.ModelVRIO, 16)
@@ -112,7 +112,12 @@ func TestPoolNeverHoldsASlabTwice(t *testing.T) {
 			rr.Start()
 			rrs = append(rrs, rr)
 		}
-		tb.Eng.At(20*sim.Millisecond, tb.FailOverIOhost)
+		tb.Eng.At(20*sim.Millisecond, func() {
+			tb.IOHyps[0].Fail()
+			for vm := range tb.Guests {
+				tb.RehomeClient(vm, 1)
+			}
+		})
 		watchFree(t, tb, 100*sim.Millisecond)
 		if tb.Switch.Flooded == 0 {
 			t.Fatal("the cell never flooded a frame")

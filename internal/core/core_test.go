@@ -92,8 +92,8 @@ func TestVMToVMWithinVRIOHost(t *testing.T) {
 	if string(payload) != "east-west" {
 		t.Fatalf("payload = %q", payload)
 	}
-	if tb.IOHyp.Counters.Get("net_fwd_local") != 1 {
-		t.Errorf("traffic did not pass the IOhost: %s", tb.IOHyp.Counters.String())
+	if tb.IOHyps[0].Counters.Get("net_fwd_local") != 1 {
+		t.Errorf("traffic did not pass the IOhost: %s", tb.IOHyps[0].Counters.String())
 	}
 }
 

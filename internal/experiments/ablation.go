@@ -33,7 +33,7 @@ func ablationMTUPlan(quick bool) Plan {
 			return []string{
 				fmt.Sprintf("%d", mtu),
 				f2(aggGbps(sts, dur)),
-				fmt.Sprintf("%d", tb.IOHyp.Counters.Get("copy_bytes")),
+				fmt.Sprintf("%d", tb.IOHyps[0].Counters.Get("copy_bytes")),
 			}
 		})
 	}
@@ -70,7 +70,7 @@ func ablationRxRingPlan(quick bool) Plan {
 			sts := streamRun(tb, warm, dur)
 			return []string{
 				fmt.Sprintf("%d", ring),
-				fmt.Sprintf("%d", tb.IOHyp.ChannelDrops()),
+				fmt.Sprintf("%d", tb.IOHyps[0].ChannelDrops()),
 				f2(aggGbps(sts, dur)),
 			}
 		})
@@ -180,7 +180,7 @@ func ablationSteering(quick bool) Result {
 	})
 	ops := filebenchOn(tb, 2, 2, warm, dur)
 	var minP, maxP uint64
-	for i, w := range tb.IOHyp.Workers() {
+	for i, w := range tb.IOHyps[0].Workers() {
 		n := w.Processed
 		if i == 0 || n < minP {
 			minP = n

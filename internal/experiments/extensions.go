@@ -90,11 +90,11 @@ func migration(quick bool) Result {
 	return res
 }
 
-// failover exercises §4.6's fault-tolerance design: the primary IOhost
-// crashes mid-run and every IOclient re-attaches to a pre-cabled fallback
-// IOhost. Net traffic resumes once the fallback speaks for the F
-// addresses; block requests ride across on §4.5 retransmission (the
-// fallback shares the distributed block backends).
+// failover exercises §4.6's fault-tolerance design: every VMhost is cabled
+// to two IOhosts, all guests start on IOhost 0, and when it crashes mid-run
+// every guest is re-homed onto the pre-cabled IOhost 1. Net traffic resumes
+// once IOhost 1 announces the F addresses; block requests ride across on
+// §4.5 retransmission (the IOhosts share the distributed block backends).
 func failover(quick bool) Result {
 	res := Result{
 		ID:     "failover",
@@ -103,7 +103,7 @@ func failover(quick bool) Result {
 	}
 	tb := cluster.Build(cluster.Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
-		WithBlock: true, SecondaryIOhost: true, Seed: 421,
+		WithBlock: true, NumIOhosts: 2, Seed: 421,
 	})
 	var rrs []*workload.RR
 	for i, g := range tb.Guests {
@@ -124,7 +124,10 @@ func failover(quick bool) Result {
 	var atFailure uint64
 	tb.Eng.At(phase, func() {
 		atFailure = ops()
-		tb.FailOverIOhost()
+		tb.IOHyps[0].Fail()
+		for vm := range tb.Guests {
+			tb.RehomeClient(vm, 1)
+		}
 	})
 	tb.Eng.RunUntil(2*phase + 40*sim.Millisecond) // + the RR loss timer
 	afterBlackout := ops()
@@ -138,7 +141,7 @@ func failover(quick bool) Result {
 	)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"fallback served %d messages after the crash; paper §4.6: reachability via a secondary IOhost costs extra cables and ports (priced in Table 1's NIC rows)",
-		tb.SecondaryIOHyp.Counters.Get("msgs")))
+		tb.IOHyps[1].Counters.Get("msgs")))
 	return res
 }
 

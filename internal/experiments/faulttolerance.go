@@ -223,8 +223,8 @@ func runFaultCellMQ(quick bool, prof *fault.Profile, qd, nq int) ftMQOut {
 	// still flowing (under heavy loss they park on retransmit timers fast):
 	// queued multi-queue work must wait behind the stall, and the per-queue
 	// tables must still balance afterwards.
-	tb.Eng.At(dur/8, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
-	tb.Eng.At(dur/3, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
+	tb.Eng.At(dur/8, func() { tb.IOHyps[0].StallWorkers(2 * sim.Millisecond) })
+	tb.Eng.At(dur/3, func() { tb.IOHyps[0].StallWorkers(2 * sim.Millisecond) })
 	var doneAtStop uint64
 	tb.Eng.At(dur, func() {
 		for _, m := range loads {
@@ -247,7 +247,7 @@ func runFaultCellMQ(quick bool, prof *fault.Profile, qd, nq int) ftMQOut {
 	for _, h := range tb.IOHyps {
 		out.tablesLeft += h.BlkInFlight()
 	}
-	out.stalls = tb.IOHyp.Counters.Get("stalls")
+	out.stalls = tb.IOHyps[0].Counters.Get("stalls")
 	out.frLost = tb.Fault.Counters.Get("frames_dropped")
 	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
 	out.opsPerSec = float64(doneAtStop) / dur.Seconds()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,12 @@ import (
 // cmd/vrio-experiments prints it) at the default seeds, one "<id> <hex>"
 // line per experiment in registry order.
 const goldenDigests = "testdata/quick_digests.txt"
+
+// faultSeedDigests holds the faulttolerance section's digest at other
+// -fault-seed values, one "<seed> <hex>" line each. Its crash cells share
+// RehomeClient with the failover experiment, so these pin the crash and
+// re-home paths under fault draws the default seed does not make.
+const faultSeedDigests = "testdata/fault_seed_digests.txt"
 
 // A change that is meant to alter only speed or allocation must leave every
 // experiment's modelled output byte-identical. This gate catches the case no
@@ -26,26 +33,43 @@ func TestQuickOutputMatchesGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	want := readGoldenDigests(t)
+	want := readGoldenDigests(t, goldenDigests)
 	got := RunAllParallel(true, runtime.GOMAXPROCS(0))
 	if len(got) != len(want) {
 		t.Errorf("%d experiments ran, %s lists %d", len(got), goldenDigests, len(want))
 	}
 	for _, r := range got {
-		sum := sha256.Sum256([]byte(Format(r) + "\n"))
-		have := hex.EncodeToString(sum[:])
 		switch exp, ok := want[r.ID]; {
 		case !ok:
 			t.Errorf("experiment %s has no golden digest", r.ID)
-		case have != exp:
-			t.Errorf("experiment %s: output digest %s, golden %s\n%s", r.ID, have, exp, Format(r))
+		case digest(r) != exp:
+			t.Errorf("experiment %s: output digest %s, golden %s\n%s", r.ID, digest(r), exp, Format(r))
+		}
+	}
+
+	defer SetFaultOptions(nil, 0)
+	for seed, exp := range readGoldenDigests(t, faultSeedDigests) {
+		n, err := strconv.ParseUint(seed, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: bad seed %q", faultSeedDigests, seed)
+		}
+		SetFaultOptions(nil, n)
+		r := RunParallel([]string{"faulttolerance"}, true, runtime.GOMAXPROCS(0))[0]
+		if have := digest(r); have != exp {
+			t.Errorf("faulttolerance at -fault-seed %d: output digest %s, golden %s\n%s", n, have, exp, Format(r))
 		}
 	}
 }
 
-func readGoldenDigests(t *testing.T) map[string]string {
+// digest is the SHA-256 of r's section as cmd/vrio-experiments prints it.
+func digest(r Result) string {
+	sum := sha256.Sum256([]byte(Format(r) + "\n"))
+	return hex.EncodeToString(sum[:])
+}
+
+func readGoldenDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(goldenDigests)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +79,7 @@ func readGoldenDigests(t *testing.T) map[string]string {
 	for sc.Scan() {
 		id, sum, ok := strings.Cut(strings.TrimSpace(sc.Text()), " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenDigests, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		out[id] = sum
 	}

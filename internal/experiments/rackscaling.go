@@ -74,7 +74,7 @@ func rackScalingPlan(quick bool) Plan {
 			res.Notes = append(res.Notes,
 				"All guests on one IOhost (static) leaves the others idle: busy max/min is huge in both windows without a controller.",
 				"The rebalancer reads per-IOhost busy_ns gauges and migrates the hottest device with hysteresis: W2 narrows toward 1.",
-				"The crash cell kills an IOhost mid-run; heartbeats detect it within the miss window and its devices re-home onto survivors — no manual FailOverIOhost.",
+				"The crash cell kills an IOhost mid-run; heartbeats detect it within the miss window and its devices re-home onto survivors automatically.",
 			)
 			return res
 		},

@@ -118,7 +118,7 @@ type Controller struct {
 
 // New wires a controller over tb's IOhosts and registers its gauges.
 func New(tb *cluster.Testbed, cfg Config) *Controller {
-	if tb.IOHyp == nil {
+	if len(tb.IOHyps) == 0 {
 		panic("rack: the controller requires a vRIO testbed")
 	}
 	cfg.defaults()
@@ -212,7 +212,7 @@ func (c *Controller) heartbeatTick() {
 
 // declareDead records the detection and re-homes every guest the dead
 // IOhost served onto the least-loaded survivors — the automatic version of
-// the testbed's manual FailOverIOhost.
+// a manual IOHyps[i].Fail plus RehomeClient for each of its guests.
 func (c *Controller) declareDead(i int) {
 	c.alive[i] = false
 	c.Counters.Inc("detections", 1)

@@ -97,7 +97,7 @@ func TestHeartbeatDetectsFailureAndRehomes(t *testing.T) {
 		for _, rr := range rrs {
 			opsAtFailure += rr.Results.Ops
 		}
-		tb.IOHyps[1].Fail() // no manual FailOverIOhost anywhere
+		tb.IOHyps[1].Fail() // the controller re-homes; no RehomeClient call here
 	})
 	tb.Eng.RunUntil(100 * sim.Millisecond)
 
